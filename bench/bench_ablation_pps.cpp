@@ -55,7 +55,8 @@ int main() {
   for (const double threshold : {10.0, 25.0, 50.0, 100.0, 150.0, 250.0, 400.0}) {
     core::DdosDetectOptions dopts;
     dopts.pps_threshold = threshold;
-    const auto dets = core::detect_ddos(report, *opts.allowed_c2, std::nullopt, dopts);
+    const auto dets = core::detect_ddos(report, *opts.allowed_c2, std::nullopt,
+                                        profile::Registry::builtin(), dopts);
     int verified = 0, fp = 0;
     for (const auto& d : dets) {
       if (d.verified) ++verified;

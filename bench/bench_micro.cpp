@@ -3,8 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "net/packet.hpp"
-#include "proto/gafgyt.hpp"
-#include "proto/mirai.hpp"
+#include "profile/wire.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
@@ -44,8 +43,10 @@ static void BM_MiraiAttackCodec(benchmark::State& state) {
   cmd.type = proto::AttackType::kSynFlood;
   cmd.target = {net::Ipv4{203, 0, 113, 9}, 443};
   cmd.duration_s = 60;
+  const auto p = profile::builtin_profile(proto::Family::kMirai);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(proto::mirai::decode_attack(proto::mirai::encode_attack(cmd)));
+    benchmark::DoNotOptimize(profile::wire::decode_binary_attack(
+        p, profile::wire::encode_binary_attack(p, cmd)));
   }
 }
 BENCHMARK(BM_MiraiAttackCodec);
@@ -55,8 +56,10 @@ static void BM_GafgytAttackCodec(benchmark::State& state) {
   cmd.type = proto::AttackType::kUdpFlood;
   cmd.target = {net::Ipv4{203, 0, 113, 9}, 80};
   cmd.duration_s = 60;
+  const auto p = profile::builtin_profile(proto::Family::kGafgyt);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(proto::gafgyt::decode_attack(proto::gafgyt::encode_attack(cmd)));
+    benchmark::DoNotOptimize(profile::wire::decode_text_attack(
+        p, profile::wire::encode_text_attack(p, cmd)));
   }
 }
 BENCHMARK(BM_GafgytAttackCodec);

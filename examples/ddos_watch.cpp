@@ -56,8 +56,9 @@ int main() {
             << " packets captured, " << report.packets_dropped
             << " contained at the perimeter\n\n";
 
-  const auto detections = core::detect_ddos(report, c2.endpoint(),
-                                            proto::Family::kDaddyl33t);
+  const auto detections =
+      core::detect_ddos(report, c2.endpoint(), proto::Family::kDaddyl33t,
+                        profile::Registry::builtin());
   for (const auto& det : detections) {
     std::cout << (det.verified ? "[verified] " : "[unverified] ")
               << det.command.summary() << "\n  method: " << core::to_string(det.method)

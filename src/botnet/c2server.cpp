@@ -185,8 +185,8 @@ void C2Server::schedule_attacks(sim::TcpConn& conn) {
         }
         case profile::Framing::kIrc: {
           // A "new variant" (§2.5b): the command rides inside IRC PRIVMSG,
-          // outside the three profiled grammars — only the behavioural
-          // heuristic can recover it.
+          // outside the binary/text grammars DDoS detection decodes — only
+          // the behavioural heuristic can recover it.
           const auto body = profile::wire::encode_text_attack(*profile_, cmd);
           const auto wire = proto::irc::privmsg(
               profile_->irc_channel, body.substr(0, body.size() - 1)).serialize();

@@ -5,9 +5,7 @@
 #include <set>
 
 #include "emu/attackgen.hpp"
-#include "proto/daddyl33t.hpp"
-#include "proto/gafgyt.hpp"
-#include "proto/mirai.hpp"
+#include "profile/wire.hpp"
 #include "util/str.hpp"
 
 namespace malnet::core {
@@ -65,34 +63,47 @@ bool target_in_command(net::Ipv4 target, util::BytesView command) {
   return util::contains(command, util::BytesView{raw});
 }
 
-void decode_profiles(const C2Message& msg, std::optional<proto::Family> hint,
-                     std::vector<std::pair<util::SimTime, proto::AttackCommand>>* out) {
-  const auto want = [&](proto::Family f) { return !hint || *hint == f; };
+/// The profiles method (a) decodes with, split by framing, in registry
+/// order and narrowed to the hinted family.
+struct Decoders {
+  std::vector<const profile::FamilyProfile*> binary;
+  std::vector<const profile::FamilyProfile*> text;
+};
 
-  if (want(proto::Family::kMirai)) {
-    // Binary frames; one frame per message in practice, but walk anyway.
-    util::BytesView view{msg.payload};
-    while (view.size() >= 2) {
-      const std::size_t len = (static_cast<std::size_t>(view[0]) << 8) | view[1];
-      if (len == 0 || view.size() < 2 + len) break;
-      if (const auto cmd = proto::mirai::decode_attack(view.subspan(0, 2 + len))) {
-        out->emplace_back(msg.time, *cmd);
-      }
-      view = view.subspan(2 + len);
-    }
+Decoders decoders_of(const profile::Registry& profiles,
+                     std::optional<proto::Family> hint) {
+  Decoders d;
+  for (const auto* p : profiles.all()) {
+    if (hint && p->id != *hint) continue;
+    if (p->framing == profile::Framing::kBinary) d.binary.push_back(p);
+    if (p->framing == profile::Framing::kText) d.text.push_back(p);
   }
+  return d;
+}
+
+void decode_profiles(const C2Message& msg, const Decoders& decoders,
+                     std::vector<std::pair<util::SimTime, proto::AttackCommand>>* out) {
+  // Binary frames; one frame per message in practice, but walk anyway.
+  util::BytesView view{msg.payload};
+  while (!decoders.binary.empty() && view.size() >= 2) {
+    const std::size_t len = (static_cast<std::size_t>(view[0]) << 8) | view[1];
+    if (len == 0 || view.size() < 2 + len) break;
+    for (const auto* p : decoders.binary) {
+      if (auto cmd = profile::wire::decode_binary_attack(*p, view.subspan(0, 2 + len))) {
+        out->emplace_back(msg.time, std::move(*cmd));
+        break;
+      }
+    }
+    view = view.subspan(2 + len);
+  }
+  if (decoders.text.empty()) return;
   const std::string text = util::to_string(msg.payload);
   for (const auto& line : util::split(text, '\n')) {
     if (line.empty()) continue;
-    if (want(proto::Family::kGafgyt)) {
-      if (const auto cmd = proto::gafgyt::decode_attack(line)) {
-        out->emplace_back(msg.time, *cmd);
-        continue;
-      }
-    }
-    if (want(proto::Family::kDaddyl33t)) {
-      if (const auto cmd = proto::daddyl33t::decode_attack(line)) {
-        out->emplace_back(msg.time, *cmd);
+    for (const auto* p : decoders.text) {
+      if (auto cmd = profile::wire::decode_text_attack(*p, line)) {
+        out->emplace_back(msg.time, std::move(*cmd));
+        break;
       }
     }
   }
@@ -103,6 +114,7 @@ void decode_profiles(const C2Message& msg, std::optional<proto::Family> hint,
 std::vector<DdosDetection> detect_ddos(const emu::SandboxReport& report,
                                        net::Endpoint c2,
                                        std::optional<proto::Family> family_hint,
+                                       const profile::Registry& profiles,
                                        const DdosDetectOptions& opts) {
   // --- pass 1: split the capture into C2 messages and outbound traffic ----
   std::vector<C2Message> c2_messages;
@@ -140,8 +152,9 @@ std::vector<DdosDetection> detect_ddos(const emu::SandboxReport& report,
   }
 
   // --- method (a): protocol profiles ---------------------------------------
+  const Decoders decoders = decoders_of(profiles, family_hint);
   std::vector<std::pair<util::SimTime, proto::AttackCommand>> decoded;
-  for (const auto& msg : c2_messages) decode_profiles(msg, family_hint, &decoded);
+  for (const auto& msg : c2_messages) decode_profiles(msg, decoders, &decoded);
 
   std::vector<DdosDetection> out;
   std::set<net::Ipv4> explained;

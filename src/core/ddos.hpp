@@ -1,6 +1,8 @@
 // DDoS command detection over a restricted-mode capture (§2.5): the
-// protocol-profile method (a) decodes inbound C2 traffic against the Mirai,
-// Gafgyt and Daddyl33t grammars; the behavioural method (b) flags outbound
+// protocol-profile method (a) decodes inbound C2 traffic with the attack
+// grammars of the active profile registry (every binary- or text-framed
+// profile: the Mirai, Gafgyt and Daddyl33t builtins plus any loaded
+// override or variant); the behavioural method (b) flags outbound
 // bursts above a packets-per-second threshold to non-C2 destinations and
 // associates them with the last C2 command seen. Both methods then verify:
 // (a) that the bot actually flooded the commanded target, (b) that the
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "emu/sandbox.hpp"
+#include "profile/registry.hpp"
 #include "proto/attack.hpp"
 
 namespace malnet::core {
@@ -36,12 +39,15 @@ struct DdosDetectOptions {
 };
 
 /// Analyses one live-run capture. `c2` is the endpoint the run allowed
-/// through the perimeter. `family_hint` narrows profile decoding; without
-/// it all three profiles are tried (new-variant coverage, §2.5b's reason
-/// for existing).
+/// through the perimeter. Method (a) decodes with the binary- and
+/// text-framed profiles of `profiles`, in registry order; each frame or
+/// line counts once, for the first profile that accepts it. `family_hint`
+/// narrows decoding to the profiles of that family; without it every such
+/// profile is tried (new-variant coverage, §2.5b's reason for existing).
+/// IRC, TLS-beacon and P2P dialects are left to method (b).
 [[nodiscard]] std::vector<DdosDetection> detect_ddos(
     const emu::SandboxReport& report, net::Endpoint c2,
-    std::optional<proto::Family> family_hint = std::nullopt,
-    const DdosDetectOptions& opts = {});
+    std::optional<proto::Family> family_hint,
+    const profile::Registry& profiles, const DdosDetectOptions& opts = {});
 
 }  // namespace malnet::core

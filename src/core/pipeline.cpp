@@ -14,7 +14,11 @@ constexpr std::int64_t kDayUs = 86'400'000'000LL;
 util::LogStream plog() { return util::LogStream(util::LogLevel::kInfo, "pipeline"); }
 }  // namespace
 
-Pipeline::Pipeline(PipelineConfig cfg) : cfg_(std::move(cfg)) {
+Pipeline::Pipeline(PipelineConfig cfg)
+    : cfg_(std::move(cfg)),
+      profiles_(cfg_.profiles ? cfg_.profiles.get()
+                : cfg_.world.profiles != nullptr ? cfg_.world.profiles
+                                                 : &profile::Registry::builtin()) {
   sched_ = std::make_unique<sim::EventScheduler>();
   obs_.tracer.set_enabled(cfg_.trace);
   obs_.tracer.set_sim_clock([this]() { return sched_->now().us; });
@@ -36,7 +40,7 @@ Pipeline::Pipeline(PipelineConfig cfg) : cfg_(std::move(cfg)) {
 
   botnet::WorldConfig wc = cfg_.world;
   wc.seed = cfg_.seed;
-  if (cfg_.profiles) wc.profiles = cfg_.profiles.get();
+  wc.profiles = profiles_;
   world_ = std::make_unique<botnet::World>(*net_, wc);
 
   if (cfg_.chaos != faultsim::Profile::kNone) {
@@ -50,11 +54,7 @@ Pipeline::Pipeline(PipelineConfig cfg) : cfg_(std::move(cfg)) {
   emu::SandboxConfig sc;
   sc.seed = cfg_.seed ^ 0xBADC0FFEE;
   sc.obs = &obs_;
-  if (cfg_.profiles) {
-    sc.profiles = cfg_.profiles.get();
-  } else if (cfg_.world.profiles != nullptr) {
-    sc.profiles = cfg_.world.profiles;
-  }
+  sc.profiles = profiles_;
   sandbox_ = std::make_unique<emu::Sandbox>(*net_, sc);
 
   intel_ = std::make_unique<intel::ThreatIntel>(cfg_.seed ^ 0x71);
@@ -416,7 +416,7 @@ void Pipeline::start_live_run(const botnet::PlannedSample& sample,
         if (lit != label_by_sample_.end()) hint = lit->second;
         DdosDetectOptions dopts;
         dopts.pps_threshold = cfg_.pps_threshold;
-        for (auto& det : detect_ddos(report, c2, hint, dopts)) {
+        for (auto& det : detect_ddos(report, c2, hint, *profiles_, dopts)) {
           if (!det.verified) continue;  // §2.5: manual verification gate
           DdosRecord dr;
           dr.sample_sha = sample.sha256;

@@ -102,11 +102,11 @@ struct DegradedSample {
 struct PipelineConfig {
   std::uint64_t seed = 22;
   botnet::WorldConfig world{};
-  /// Family profile registry shared by the world planner and every sandbox
-  /// run. Null means the builtin registry, which is bit-identical to the
-  /// pre-profile compiled-in behaviour. Held as a shared_ptr so parallel
-  /// shards reuse one loaded registry; overrides world.profiles /
-  /// SandboxConfig::profiles when set.
+  /// Family profile registry shared by the world planner, every sandbox
+  /// run and DDoS command decoding. Null means world.profiles, else the
+  /// builtin registry, which is bit-identical to the pre-profile
+  /// compiled-in behaviour. Held as a shared_ptr so parallel shards reuse
+  /// one loaded registry; overrides world.profiles when set.
   std::shared_ptr<const profile::Registry> profiles;
   /// Fault-injection profile (DESIGN.md §11). kNone runs the classic clean
   /// study, bit-identical to a build without the fault layer.
@@ -213,6 +213,10 @@ class Pipeline {
   void harvest_observability();
 
   PipelineConfig cfg_;
+  /// The registry the study runs with (cfg_.profiles, else
+  /// cfg_.world.profiles, else the builtins): it drives the world planner,
+  /// every sandbox run and DDoS decoding.
+  const profile::Registry* profiles_;
   obs::Observer obs_;
   obs::ProfileSnapshot profile_;
   // Cached registry instruments (see obs/metrics.hpp on why).

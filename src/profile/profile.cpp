@@ -423,8 +423,7 @@ FamilyProfile builtin_profile(proto::Family f) {
       p.attacker_quota = 3;
       break;
     case proto::Family::kTsunami:
-      // IRC transport; the PRIVMSG body reuses the Gafgyt command grammar
-      // (the compiled-in C2 encodes Tsunami commands with the Gafgyt codec).
+      // IRC transport; the PRIVMSG body reuses the Gafgyt command grammar.
       p.framing = Framing::kIrc;
       p.topology = Topology::kFallback;
       p.irc_channel = "#tsunami";

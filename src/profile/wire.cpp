@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "net/ipv4.hpp"
-#include "proto/mirai.hpp"
 #include "util/str.hpp"
 
 namespace malnet::profile::wire {
@@ -56,7 +55,7 @@ util::Bytes encode_binary_attack(const FamilyProfile& p,
   body.u8(32);  // /32 target
   if (cmd.target.port != 0) {
     body.u8(1);  // one option
-    body.u8(proto::mirai::kOptDport);
+    body.u8(kOptDport);
     body.u8(2);
     body.u16(cmd.target.port);
   } else {
@@ -90,7 +89,7 @@ std::optional<proto::AttackCommand> decode_binary_attack(const FamilyProfile& p,
       const std::uint8_t key = b.u8();
       const std::uint8_t len = b.u8();
       const util::Bytes val = b.raw(len);
-      if (key == proto::mirai::kOptDport && len == 2) {
+      if (key == kOptDport && len == 2) {
         cmd.target.port = static_cast<net::Port>((val[0] << 8) | val[1]);
       }
     }

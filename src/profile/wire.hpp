@@ -1,11 +1,27 @@
-// Profile-parameterised C2 wire codecs: the binary and text message
-// grammars from proto/mirai|gafgyt|daddyl33t generalised over a
-// FamilyProfile. For every builtin profile these produce and accept bytes
-// identical to the compiled-in proto::* codecs (asserted exhaustively in
-// tests/test_profile.cpp) — that identity is what makes the data-driven
-// path a drop-in replacement.
+// Profile-parameterised C2 wire codecs: the Mirai binary and the
+// Gafgyt/Daddyl33t text message grammars, generalised over a
+// FamilyProfile. This is the project's one C2 codec path: bots
+// (emu::MalwareProcess) and C2 servers (botnet::C2Server) speak through it,
+// and core::detect_ddos decodes live C2 traffic through it with the
+// active registry's profiles. For the builtin profiles the bytes are
+// pinned by the tests/corpus seeds that malnet_make_corpus writes
+// (golden-byte tests in tests/test_profile.cpp).
+//
+// Binary grammar (magic from the profile; builtin Mirai uses 1):
+//   Bot -> C2 on connect:   u32 magic, u8 id_len, id bytes
+//   Keepalive (both ways):  u16 0x0000
+//   C2 -> Bot attack:       u16 len, then len bytes of:
+//                             u32 duration_s, u8 vector, u8 n_targets,
+//                             n x (u32 ipv4, u8 prefix),
+//                             u8 n_opts, n x (u8 key, u8 val_len, bytes)
+//
+// Text grammar (words from the profile):
+//   Bot -> C2 on connect:   "HELLO-WORDS <arg>\n"
+//   Keepalive:              "<ping_word>\n" -> "<pong_word>\n"
+//   C2 -> Bot attack:       "[PREFIX ]KEYWORD <ip> <port> <secs>\n"
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -15,6 +31,10 @@
 #include "util/bytes.hpp"
 
 namespace malnet::profile::wire {
+
+/// Binary attack option key for the destination port ("dport" in the
+/// Mirai source).
+inline constexpr std::uint8_t kOptDport = 7;
 
 // --- binary framing (Mirai grammar, magic parameterised) -------------------
 

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "util/str.hpp"
-
 namespace malnet::proto {
 
 std::string to_string(AttackType t) {
@@ -91,17 +89,6 @@ std::optional<std::uint8_t> mirai_vector_of(AttackType t) {
   }
 }
 
-std::optional<AttackType> mirai_vector_to_type(std::uint8_t vec) {
-  switch (vec) {
-    case 0: return AttackType::kUdpFlood;
-    case 1: return AttackType::kVse;
-    case 3: return AttackType::kSynFlood;
-    case 5: return AttackType::kStomp;
-    case 11: return AttackType::kTls;
-    default: return std::nullopt;
-  }
-}
-
 std::optional<std::string> gafgyt_keyword_of(AttackType t) {
   switch (t) {
     case AttackType::kUdpFlood: return "UDP";
@@ -109,13 +96,6 @@ std::optional<std::string> gafgyt_keyword_of(AttackType t) {
     case AttackType::kVse: return "VSE";
     default: return std::nullopt;
   }
-}
-
-std::optional<AttackType> gafgyt_keyword_to_type(std::string_view kw) {
-  if (util::iequals(kw, "UDP")) return AttackType::kUdpFlood;
-  if (util::iequals(kw, "STD")) return AttackType::kStd;
-  if (util::iequals(kw, "VSE")) return AttackType::kVse;
-  return std::nullopt;
 }
 
 std::optional<std::string> daddyl33t_keyword_of(AttackType t) {
@@ -127,15 +107,6 @@ std::optional<std::string> daddyl33t_keyword_of(AttackType t) {
     case AttackType::kNfo: return "NFOV6";
     default: return std::nullopt;
   }
-}
-
-std::optional<AttackType> daddyl33t_keyword_to_type(std::string_view kw) {
-  if (util::iequals(kw, "UDPRAW")) return AttackType::kUdpFlood;
-  if (util::iequals(kw, "HYDRASYN")) return AttackType::kSynFlood;
-  if (util::iequals(kw, "TLS")) return AttackType::kTls;
-  if (util::iequals(kw, "NURSE")) return AttackType::kBlacknurse;
-  if (util::iequals(kw, "NFOV6")) return AttackType::kNfo;
-  return std::nullopt;
 }
 
 }  // namespace malnet::proto

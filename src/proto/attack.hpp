@@ -56,13 +56,11 @@ struct AttackCommand {
 [[nodiscard]] const std::vector<AttackType>& attacks_of(Family f);
 
 /// The per-family command keyword for text protocols ("UDP", "UDPRAW", …)
-/// or the Mirai binary vector id. Used by encoders and by the DDoS command
-/// profiler in core/.
+/// or the Mirai binary vector id: the tables profile::builtin_profile
+/// builds the builtin command sets from (decoding goes through
+/// FamilyProfile::by_vector / by_keyword).
 [[nodiscard]] std::optional<std::uint8_t> mirai_vector_of(AttackType t);
-[[nodiscard]] std::optional<AttackType> mirai_vector_to_type(std::uint8_t vec);
 [[nodiscard]] std::optional<std::string> gafgyt_keyword_of(AttackType t);
-[[nodiscard]] std::optional<AttackType> gafgyt_keyword_to_type(std::string_view kw);
 [[nodiscard]] std::optional<std::string> daddyl33t_keyword_of(AttackType t);
-[[nodiscard]] std::optional<AttackType> daddyl33t_keyword_to_type(std::string_view kw);
 
 }  // namespace malnet::proto

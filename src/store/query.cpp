@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "proto/family.hpp"
+#include "util/str.hpp"
 #include "vulndb/vulndb.hpp"
 
 namespace malnet::store {
@@ -127,10 +128,14 @@ std::string QueryEngine::answer(std::string_view line) {
     }
     if (first) out << "(no exploits)";
   } else if (tokens[0] == "exploit") {
-    if (tokens.size() != 2) {
+    // Names may contain spaces ("Vacron NVR RCE"): the rest of the line,
+    // tokens joined by single spaces, is the name.
+    const std::string name =
+        util::join(std::vector<std::string>(tokens.begin() + 1, tokens.end()), " ");
+    if (name.empty()) {
       out << "err usage: exploit <cve-or-name>";
-    } else if (const auto vuln = vuln_from_token(tokens[1]); !vuln) {
-      out << "err unknown vulnerability " << tokens[1];
+    } else if (const auto vuln = vuln_from_token(name); !vuln) {
+      out << "err unknown vulnerability " << name;
     } else if (const auto it = merged_.exploit_stats.find(*vuln);
                it == merged_.exploit_stats.end()) {
       out << vuln_label(*vuln) << " count=0";

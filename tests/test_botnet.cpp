@@ -7,14 +7,14 @@
 #include "botnet/probe_world.hpp"
 #include "botnet/world.hpp"
 #include "inetsim/http.hpp"
-#include "proto/daddyl33t.hpp"
-#include "proto/gafgyt.hpp"
-#include "proto/mirai.hpp"
+#include "profile/wire.hpp"
 
 using namespace malnet;
 using namespace malnet::botnet;
 
 namespace {
+const profile::FamilyProfile kGafgyt = profile::builtin_profile(proto::Family::kGafgyt);
+
 struct Sim {
   sim::EventScheduler sched;
   sim::Network net{sched};
@@ -41,9 +41,10 @@ TEST(C2Server, MiraiRegistersAndEchoesKeepalive) {
   bot.tcp_connect({server.endpoint().ip, 23}, [&](sim::ConnectOutcome o, sim::TcpConn* c) {
     ASSERT_EQ(o, sim::ConnectOutcome::kConnected);
     c->on_data([&](sim::TcpConn&, util::BytesView d) {
-      if (proto::mirai::is_keepalive(d)) ++replies;
+      if (profile::wire::is_keepalive(d)) ++replies;
     });
-    c->send(util::BytesView{proto::mirai::encode_handshake("bot")});
+    c->send(util::BytesView{profile::wire::encode_handshake(
+        profile::builtin_profile(proto::Family::kMirai), "bot")});
   });
   s.sched.run_until(s.sched.now() + sim::Duration::seconds(30));
   EXPECT_EQ(server.sessions_served(), 1u);
@@ -59,7 +60,7 @@ TEST(C2Server, GafgytAnswersBuildWithPing) {
   bot.tcp_connect({server.endpoint().ip, 666}, [&](sim::ConnectOutcome, sim::TcpConn* c) {
     ASSERT_NE(c, nullptr);
     c->on_data([&](sim::TcpConn&, util::BytesView d) { got += util::to_string(d); });
-    c->send(proto::gafgyt::encode_hello("MIPS"));
+    c->send(profile::wire::encode_hello(kGafgyt, "MIPS"));
   });
   s.sched.run_until(s.sched.now() + sim::Duration::seconds(10));
   EXPECT_EQ(got, "PING\n");
@@ -74,7 +75,8 @@ TEST(C2Server, Daddyl33tAnswersLogin) {
   bot.tcp_connect({server.endpoint().ip, 1312}, [&](sim::ConnectOutcome, sim::TcpConn* c) {
     ASSERT_NE(c, nullptr);
     c->on_data([&](sim::TcpConn&, util::BytesView d) { got += util::to_string(d); });
-    c->send(proto::daddyl33t::encode_login("bot7"));
+    c->send(profile::wire::encode_hello(
+        profile::builtin_profile(proto::Family::kDaddyl33t), "bot7"));
   });
   s.sched.run_until(s.sched.now() + sim::Duration::seconds(10));
   EXPECT_EQ(got, ".ping\n");
@@ -89,7 +91,7 @@ TEST(C2Server, IgnoresWrongProtocolAndKicksSilentPeers) {
   bot.tcp_connect({server.endpoint().ip, 23}, [&](sim::ConnectOutcome, sim::TcpConn* c) {
     ASSERT_NE(c, nullptr);
     c->on_close([&](sim::TcpConn&) { closed = true; });
-    c->send(proto::gafgyt::encode_hello("MIPS"));  // wrong family protocol
+    c->send(profile::wire::encode_hello(kGafgyt, "MIPS"));  // wrong family protocol
   });
   s.sched.run_until(s.sched.now() + sim::Duration::minutes(5));
   EXPECT_TRUE(closed);  // 2-minute hygiene reset
@@ -105,7 +107,7 @@ TEST(C2Server, DormancyAfterServedSession) {
 
   bot.tcp_connect({server.endpoint().ip, 666}, [&](sim::ConnectOutcome, sim::TcpConn* c) {
     ASSERT_NE(c, nullptr);
-    c->send(proto::gafgyt::encode_hello("MIPS"));
+    c->send(profile::wire::encode_hello(kGafgyt, "MIPS"));
     // Close shortly after registering (a probe-style session).
     sim::TcpConn* cp = c;
     bot.schedule_safe(sim::Duration::seconds(5), [cp]() { cp->close(); });

@@ -13,9 +13,7 @@
 #include "emu/sandbox.hpp"
 #include "inetsim/services.hpp"
 #include "mal/binary.hpp"
-#include "proto/daddyl33t.hpp"
-#include "proto/gafgyt.hpp"
-#include "proto/mirai.hpp"
+#include "profile/wire.hpp"
 
 using namespace malnet;
 using namespace malnet::core;
@@ -144,6 +142,14 @@ TEST(ExploitId, AttributesAndDeduplicates) {
 namespace {
 constexpr net::Endpoint kC2{net::Ipv4{60, 1, 1, 1}, 23};
 
+/// `cmd` as the builtin profile of `family` puts it on the wire.
+util::Bytes wire_command(proto::Family family, const proto::AttackCommand& cmd) {
+  const auto p = profile::builtin_profile(family);
+  return p.framing == profile::Framing::kBinary
+             ? profile::wire::encode_binary_attack(p, cmd)
+             : util::to_bytes(profile::wire::encode_text_attack(p, cmd));
+}
+
 emu::SandboxReport make_live_report(const util::Bytes& command_payload,
                                     net::Ipv4 target, net::Port target_port,
                                     int flood_packets, net::Protocol flood_proto,
@@ -177,9 +183,10 @@ TEST(DdosDetect, ProfileMethodDecodesMiraiCommand) {
   cmd.type = proto::AttackType::kUdpFlood;
   cmd.target = {net::Ipv4{7, 7, 7, 7}, 8080};
   cmd.duration_s = 30;
-  const auto report = make_live_report(proto::mirai::encode_attack(cmd),
+  const auto report = make_live_report(wire_command(proto::Family::kMirai, cmd),
                                        cmd.target.ip, 8080, 400, net::Protocol::kUdp);
-  const auto dets = detect_ddos(report, kC2, proto::Family::kMirai);
+  const auto dets =
+      detect_ddos(report, kC2, proto::Family::kMirai, profile::Registry::builtin());
   ASSERT_EQ(dets.size(), 1u);
   EXPECT_EQ(dets[0].method, DdosMethod::kProtocolProfile);
   EXPECT_TRUE(dets[0].verified);
@@ -191,10 +198,11 @@ TEST(DdosDetect, ProfileMethodUnverifiedWithoutFlood) {
   proto::AttackCommand cmd;
   cmd.type = proto::AttackType::kUdpFlood;
   cmd.target = {net::Ipv4{7, 7, 7, 7}, 8080};
-  const auto report = make_live_report(proto::mirai::encode_attack(cmd),
+  const auto report = make_live_report(wire_command(proto::Family::kMirai, cmd),
                                        net::Ipv4{9, 9, 9, 9}, 8080, 5,
                                        net::Protocol::kUdp);
-  const auto dets = detect_ddos(report, kC2, proto::Family::kMirai);
+  const auto dets =
+      detect_ddos(report, kC2, proto::Family::kMirai, profile::Registry::builtin());
   ASSERT_EQ(dets.size(), 1u);
   EXPECT_FALSE(dets[0].verified) << "bot never flooded the commanded target";
 }
@@ -204,19 +212,21 @@ TEST(DdosDetect, ProfileMethodDecodesTextFamilies) {
   cmd.type = proto::AttackType::kStd;
   cmd.target = {net::Ipv4{7, 7, 7, 7}, 9999};
   cmd.duration_s = 60;
-  auto report = make_live_report(util::to_bytes(proto::gafgyt::encode_attack(cmd)),
+  auto report = make_live_report(wire_command(proto::Family::kGafgyt, cmd),
                                  cmd.target.ip, 9999, 300, net::Protocol::kUdp,
                                  util::to_bytes("RANDOMSTRINGRANDOMSTRINGRANDOMST"));
-  auto dets = detect_ddos(report, kC2, proto::Family::kGafgyt);
+  auto dets =
+      detect_ddos(report, kC2, proto::Family::kGafgyt, profile::Registry::builtin());
   ASSERT_EQ(dets.size(), 1u);
   EXPECT_EQ(dets[0].command.type, proto::AttackType::kStd);
   EXPECT_EQ(dets[0].command.family, proto::Family::kGafgyt);
 
   cmd.type = proto::AttackType::kBlacknurse;
   cmd.target.port = 0;
-  report = make_live_report(util::to_bytes(proto::daddyl33t::encode_attack(cmd)),
+  report = make_live_report(wire_command(proto::Family::kDaddyl33t, cmd),
                             cmd.target.ip, 0, 300, net::Protocol::kIcmp);
-  dets = detect_ddos(report, kC2, proto::Family::kDaddyl33t);
+  dets = detect_ddos(report, kC2, proto::Family::kDaddyl33t,
+                     profile::Registry::builtin());
   ASSERT_EQ(dets.size(), 1u);
   EXPECT_EQ(dets[0].command.type, proto::AttackType::kBlacknurse);
   EXPECT_TRUE(dets[0].verified);
@@ -228,7 +238,7 @@ TEST(DdosDetect, HeuristicCatchesUnknownVariantAndVerifiesTargetInCommand) {
   const auto report = make_live_report(util::to_bytes("SMASH 7.7.7.7 8080 60\n"),
                                        net::Ipv4{7, 7, 7, 7}, 8080, 400,
                                        net::Protocol::kUdp);
-  const auto dets = detect_ddos(report, kC2, std::nullopt);
+  const auto dets = detect_ddos(report, kC2, std::nullopt, profile::Registry::builtin());
   ASSERT_EQ(dets.size(), 1u);
   EXPECT_EQ(dets[0].method, DdosMethod::kBehaviouralHeuristic);
   EXPECT_TRUE(dets[0].verified);  // "7.7.7.7" appears in the command text
@@ -243,7 +253,7 @@ TEST(DdosDetect, HeuristicVerifiesBinaryIpRepresentation) {
   cmd.push_back(7);
   const auto report =
       make_live_report(cmd, net::Ipv4{7, 7, 7, 7}, 8080, 400, net::Protocol::kUdp);
-  const auto dets = detect_ddos(report, kC2, std::nullopt);
+  const auto dets = detect_ddos(report, kC2, std::nullopt, profile::Registry::builtin());
   ASSERT_EQ(dets.size(), 1u);
   EXPECT_TRUE(dets[0].verified);
 }
@@ -263,7 +273,8 @@ TEST(DdosDetect, HeuristicRespectsPpsThreshold) {
     p.payload = {0x00};
     report.capture.push_back(p);
   }
-  EXPECT_TRUE(detect_ddos(report, kC2, std::nullopt).empty());
+  EXPECT_TRUE(
+      detect_ddos(report, kC2, std::nullopt, profile::Registry::builtin()).empty());
 }
 
 class TrafficClassification
@@ -299,7 +310,7 @@ TEST_P(TrafficClassification, HeuristicInfersTypeFromWireShape) {
   emu::launch_attack(bot, atk, gen, rng);
   sched.run();
 
-  const auto dets = detect_ddos(report, kC2, std::nullopt);
+  const auto dets = detect_ddos(report, kC2, std::nullopt, profile::Registry::builtin());
   ASSERT_EQ(dets.size(), 1u);
   EXPECT_EQ(dets[0].command.type, expected_type);
 }

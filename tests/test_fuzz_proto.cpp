@@ -1,4 +1,6 @@
-// Property-based tests for every C2 protocol codec in src/proto:
+// Property-based tests for every C2 protocol codec: the profile::wire
+// codecs under the builtin Mirai/Gafgyt/Daddyl33t profiles, plus the IRC
+// and P2P codecs in src/proto:
 //
 //   round-trip laws   decode(encode(x)) == x for randomly generated
 //                     commands/messages of each family
@@ -11,20 +13,23 @@
 // Failures print a seed; rerun with MALNET_CHECK_SEED=<seed> to reproduce.
 #include <gtest/gtest.h>
 
+#include "profile/wire.hpp"
 #include "proto/attack.hpp"
-#include "proto/daddyl33t.hpp"
 #include "proto/family.hpp"
-#include "proto/gafgyt.hpp"
 #include "proto/irc.hpp"
-#include "proto/mirai.hpp"
 #include "proto/p2p.hpp"
 #include "testkit/testkit.hpp"
 
 using namespace malnet;
 using namespace malnet::proto;
 using namespace malnet::testkit;
+namespace wire = malnet::profile::wire;
 
 namespace {
+
+const profile::FamilyProfile kMirai = profile::builtin_profile(Family::kMirai);
+const profile::FamilyProfile kGafgyt = profile::builtin_profile(Family::kGafgyt);
+const profile::FamilyProfile kDaddyl33t = profile::builtin_profile(Family::kDaddyl33t);
 
 constexpr int kRoundTripCases = 1000;
 constexpr int kNoCrashCases = 10'000;
@@ -98,7 +103,8 @@ TEST(RoundTrip, MiraiAttack) {
   cfg.name = "mirai round-trip";
   const auto r = check(attack_commands(Family::kMirai),
                        [](const AttackCommand& cmd) {
-                         const auto decoded = mirai::decode_attack(mirai::encode_attack(cmd));
+                         const auto decoded = wire::decode_binary_attack(
+                             kMirai, wire::encode_binary_attack(kMirai, cmd));
                          return decoded && same_command(*decoded, cmd);
                        },
                        cfg);
@@ -111,7 +117,8 @@ TEST(RoundTrip, MiraiHandshake) {
   cfg.name = "mirai handshake round-trip";
   const auto r = check(raw_strings(0, 255),
                        [](const std::string& id) {
-                         const auto hs = mirai::decode_handshake(mirai::encode_handshake(id));
+                         const auto hs = wire::decode_handshake(
+                             kMirai, wire::encode_handshake(kMirai, id));
                          return hs && hs->bot_id == id;
                        },
                        cfg);
@@ -124,7 +131,8 @@ TEST(RoundTrip, GafgytAttack) {
   cfg.name = "gafgyt round-trip";
   const auto r = check(attack_commands(Family::kGafgyt),
                        [](const AttackCommand& cmd) {
-                         const auto decoded = gafgyt::decode_attack(gafgyt::encode_attack(cmd));
+                         const auto decoded = wire::decode_text_attack(
+                             kGafgyt, wire::encode_text_attack(kGafgyt, cmd));
                          return decoded && same_command(*decoded, cmd);
                        },
                        cfg);
@@ -137,8 +145,8 @@ TEST(RoundTrip, Daddyl33tAttack) {
   cfg.name = "daddyl33t round-trip";
   const auto r = check(attack_commands(Family::kDaddyl33t),
                        [](const AttackCommand& cmd) {
-                         const auto decoded =
-                             daddyl33t::decode_attack(daddyl33t::encode_attack(cmd));
+                         const auto decoded = wire::decode_text_attack(
+                             kDaddyl33t, wire::encode_text_attack(kDaddyl33t, cmd));
                          return decoded && same_command(*decoded, cmd);
                        },
                        cfg);
@@ -204,10 +212,10 @@ TEST(RoundTrip, P2pMessages) {
 
 TEST(NoCrash, MiraiDecoders) {
   const auto r = fuzz_decoder("mirai_",
-                              [](util::BytesView wire) {
-                                (void)mirai::decode_handshake(wire);
-                                (void)mirai::decode_attack(wire);
-                                (void)mirai::is_keepalive(wire);
+                              [](util::BytesView bytes) {
+                                (void)wire::decode_handshake(kMirai, bytes);
+                                (void)wire::decode_binary_attack(kMirai, bytes);
+                                (void)wire::is_keepalive(bytes);
                                 return true;  // surviving is the property
                               },
                               "mirai no-crash");
@@ -216,12 +224,12 @@ TEST(NoCrash, MiraiDecoders) {
 
 TEST(NoCrash, GafgytDecoders) {
   const auto r = fuzz_decoder("gafgyt_",
-                              [](util::BytesView wire) {
-                                const std::string line(wire.begin(), wire.end());
-                                (void)gafgyt::decode_hello(line);
-                                (void)gafgyt::decode_attack(line);
-                                (void)gafgyt::is_ping(line);
-                                (void)gafgyt::is_pong(line);
+                              [](util::BytesView bytes) {
+                                const std::string line(bytes.begin(), bytes.end());
+                                (void)wire::decode_hello(kGafgyt, line);
+                                (void)wire::decode_text_attack(kGafgyt, line);
+                                (void)wire::is_ping(kGafgyt, line);
+                                (void)wire::is_pong(kGafgyt, line);
                                 return true;
                               },
                               "gafgyt no-crash");
@@ -230,12 +238,12 @@ TEST(NoCrash, GafgytDecoders) {
 
 TEST(NoCrash, Daddyl33tDecoders) {
   const auto r = fuzz_decoder("daddyl33t_",
-                              [](util::BytesView wire) {
-                                const std::string line(wire.begin(), wire.end());
-                                (void)daddyl33t::decode_login(line);
-                                (void)daddyl33t::decode_attack(line);
-                                (void)daddyl33t::is_ping(line);
-                                (void)daddyl33t::is_pong(line);
+                              [](util::BytesView bytes) {
+                                const std::string line(bytes.begin(), bytes.end());
+                                (void)wire::decode_hello(kDaddyl33t, line);
+                                (void)wire::decode_text_attack(kDaddyl33t, line);
+                                (void)wire::is_ping(kDaddyl33t, line);
+                                (void)wire::is_pong(kDaddyl33t, line);
                                 return true;
                               },
                               "daddyl33t no-crash");
@@ -244,8 +252,8 @@ TEST(NoCrash, Daddyl33tDecoders) {
 
 TEST(NoCrash, IrcParser) {
   const auto r = fuzz_decoder("irc_",
-                              [](util::BytesView wire) {
-                                (void)irc::parse(std::string(wire.begin(), wire.end()));
+                              [](util::BytesView bytes) {
+                                (void)irc::parse(std::string(bytes.begin(), bytes.end()));
                                 return true;
                               },
                               "irc no-crash");
@@ -254,11 +262,11 @@ TEST(NoCrash, IrcParser) {
 
 TEST(NoCrash, P2pDecoders) {
   const auto r = fuzz_decoder("p2p_",
-                              [](util::BytesView wire) {
-                                (void)p2p::decode_ping(wire);
-                                (void)p2p::decode_get_peers(wire);
-                                (void)p2p::decode_peers_reply(wire);
-                                (void)p2p::looks_like_dht(wire);
+                              [](util::BytesView bytes) {
+                                (void)p2p::decode_ping(bytes);
+                                (void)p2p::decode_get_peers(bytes);
+                                (void)p2p::decode_peers_reply(bytes);
+                                (void)p2p::looks_like_dht(bytes);
                                 return true;
                               },
                               "p2p no-crash");
@@ -272,18 +280,18 @@ TEST(NoCrash, P2pDecoders) {
 TEST(ErrorPath, EmptyAndOneByteBuffers) {
   const std::vector<util::Bytes> minima = {{}, {0x00}, {0xFF}};
   const auto r = check_each(minima,
-                            [](util::BytesView wire) {
-                              const std::string line(wire.begin(), wire.end());
-                              return !mirai::decode_handshake(wire) &&
-                                     !mirai::decode_attack(wire) &&
-                                     !gafgyt::decode_attack(line) &&
-                                     !gafgyt::decode_hello(line) &&
-                                     !daddyl33t::decode_attack(line) &&
-                                     !daddyl33t::decode_login(line) &&
-                                     !p2p::decode_ping(wire) &&
-                                     !p2p::decode_get_peers(wire) &&
-                                     !p2p::decode_peers_reply(wire) &&
-                                     !p2p::looks_like_dht(wire);
+                            [](util::BytesView bytes) {
+                              const std::string line(bytes.begin(), bytes.end());
+                              return !wire::decode_handshake(kMirai, bytes) &&
+                                     !wire::decode_binary_attack(kMirai, bytes) &&
+                                     !wire::decode_text_attack(kGafgyt, line) &&
+                                     !wire::decode_hello(kGafgyt, line) &&
+                                     !wire::decode_text_attack(kDaddyl33t, line) &&
+                                     !wire::decode_hello(kDaddyl33t, line) &&
+                                     !p2p::decode_ping(bytes) &&
+                                     !p2p::decode_get_peers(bytes) &&
+                                     !p2p::decode_peers_reply(bytes) &&
+                                     !p2p::looks_like_dht(bytes);
                             },
                             "proto empty/1-byte");
   EXPECT_TRUE(r.ok) << r.summary();
@@ -291,30 +299,33 @@ TEST(ErrorPath, EmptyAndOneByteBuffers) {
 
 TEST(ErrorPath, MiraiMaxLengthFields) {
   // Frame length prefix announces 0xFFFF bytes, body absent or short.
-  EXPECT_FALSE(mirai::decode_attack(util::from_hex("ffff")));
-  EXPECT_FALSE(mirai::decode_attack(util::from_hex("ffff 00000001 00 01")));
+  EXPECT_FALSE(wire::decode_binary_attack(kMirai, util::from_hex("ffff")));
+  EXPECT_FALSE(
+      wire::decode_binary_attack(kMirai, util::from_hex("ffff 00000001 00 01")));
   // Handshake id_len = 255 with a short id.
-  EXPECT_FALSE(mirai::decode_handshake(util::from_hex("00000001 ff 6161")));
+  EXPECT_FALSE(wire::decode_handshake(kMirai, util::from_hex("00000001 ff 6161")));
   // Option value length announces 255 bytes that are not there.
   // (frame len=14: duration=1s, vector 0, 1 target, 1 option whose value
   //  length byte says 0xFF with no value following)
-  EXPECT_FALSE(mirai::decode_attack(
-      util::from_hex("000e 00000001 00 01 01020304 20 01 07 ff")));
+  EXPECT_FALSE(wire::decode_binary_attack(
+      kMirai, util::from_hex("000e 00000001 00 01 01020304 20 01 07 ff")));
 }
 
 TEST(ErrorPath, MiraiRegressionNTargetsOverflow) {
   // Found by the mutator: n_targets = 0xFF with a single-target body must
   // reject cleanly (the per-target skip walks off the end).
-  auto wire = corpus_file("mirai_attack.bin");
-  ASSERT_GE(wire.size(), 8u);
-  wire[7] = 0xFF;  // n_targets lives after len(2) + duration(4) + vector(1)
-  EXPECT_FALSE(mirai::decode_attack(wire));
+  auto bytes = corpus_file("mirai_attack.bin");
+  ASSERT_GE(bytes.size(), 8u);
+  bytes[7] = 0xFF;  // n_targets lives after len(2) + duration(4) + vector(1)
+  EXPECT_FALSE(wire::decode_binary_attack(kMirai, bytes));
 }
 
 TEST(ErrorPath, TextProtocolsHugeNumericFields) {
   // 2^64 overflow and >u16 ports must both reject, not wrap around.
-  EXPECT_FALSE(gafgyt::decode_attack("!* UDP 1.2.3.4 80 99999999999999999999\n"));
-  EXPECT_FALSE(gafgyt::decode_attack("!* UDP 1.2.3.4 65536 10\n"));
-  EXPECT_FALSE(daddyl33t::decode_attack("UDPRAW 1.2.3.4 80 18446744073709551616\n"));
-  EXPECT_FALSE(daddyl33t::decode_attack("UDPRAW 1.2.3.4 99999 10\n"));
+  EXPECT_FALSE(
+      wire::decode_text_attack(kGafgyt, "!* UDP 1.2.3.4 80 99999999999999999999\n"));
+  EXPECT_FALSE(wire::decode_text_attack(kGafgyt, "!* UDP 1.2.3.4 65536 10\n"));
+  EXPECT_FALSE(
+      wire::decode_text_attack(kDaddyl33t, "UDPRAW 1.2.3.4 80 18446744073709551616\n"));
+  EXPECT_FALSE(wire::decode_text_attack(kDaddyl33t, "UDPRAW 1.2.3.4 99999 10\n"));
 }

@@ -81,7 +81,8 @@ TEST(LiveChain, AttackerC2IssuesCommandsDuringLiveRun) {
   EXPECT_GE(live_report.commands.size(), 2u) << "bot should decode the commands";
 
   const auto detections = core::detect_ddos(live_report, {c2_ip, 23},
-                                            proto::Family::kMirai);
+                                            proto::Family::kMirai,
+                                            profile::Registry::builtin());
   ASSERT_GE(detections.size(), 1u);
   EXPECT_TRUE(detections.front().verified);
   EXPECT_EQ(detections.front().command.target.ip, atk.target.ip);
@@ -90,8 +91,9 @@ TEST(LiveChain, AttackerC2IssuesCommandsDuringLiveRun) {
 TEST(LiveChain, IrcBorneAttackIsRecoveredByTheHeuristicOnly) {
   // §2.5b: "In order to cover other malware families and new variants, we
   // employ a heuristic detection method." A Tsunami C2 issues its command
-  // inside IRC PRIVMSG — the three protocol profiles miss it; the >100 pps
-  // heuristic recovers it and verifies the target inside the raw command.
+  // inside IRC PRIVMSG — the binary and text protocol profiles miss it; the
+  // >100 pps heuristic recovers it and verifies the target inside the raw
+  // command.
   sim::EventScheduler sched;
   sim::Network net(sched);
 
@@ -127,9 +129,10 @@ TEST(LiveChain, IrcBorneAttackIsRecoveredByTheHeuristicOnly) {
 
   ASSERT_GE(report.commands.size(), 1u) << "bot must act on the PRIVMSG order";
 
-  // Without a family hint, all three profiles run — none decodes IRC, so
-  // detection must come from the behavioural method.
-  const auto dets = core::detect_ddos(report, server.endpoint(), std::nullopt);
+  // Without a family hint, every binary/text profile runs — none decodes
+  // IRC, so detection must come from the behavioural method.
+  const auto dets = core::detect_ddos(report, server.endpoint(), std::nullopt,
+                                      profile::Registry::builtin());
   ASSERT_EQ(dets.size(), 1u);
   EXPECT_EQ(dets[0].method, core::DdosMethod::kBehaviouralHeuristic);
   EXPECT_TRUE(dets[0].verified) << "target IP appears textually in the PRIVMSG";

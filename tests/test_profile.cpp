@@ -1,13 +1,13 @@
 // malnet::profile — declarative family profiles (DESIGN.md §16).
 //
-// The load-bearing contract: for every builtin profile the data-driven
-// path (profile::wire codecs, registry-resolved behaviour) is byte-
-// identical to the compiled-in proto::* codecs and to the pre-profile
-// study output; malformed or ambiguous profile files are rejected with
-// line/field context and never crash the parser (fuzzed from the
-// committed profile_* corpus); and a data-only variant profile runs
-// end-to-end — planner to C2 server to sandboxed bot — without any C++
-// behaviour-table change.
+// The load-bearing contract: for every builtin profile the profile::wire
+// codecs reproduce the committed golden wire bytes (tests/corpus) and the
+// registry-resolved behaviour reproduces the pre-profile study output;
+// malformed or ambiguous profile files are rejected with line/field context
+// and never crash the parser (fuzzed from the committed profile_* corpus);
+// a data-only variant profile runs end-to-end — planner to C2 server to
+// sandboxed bot — without any C++ behaviour-table change; and the DDoS
+// detector decodes a variant's attack grammar from the registry.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -16,15 +16,13 @@
 
 #include "botnet/c2server.hpp"
 #include "botnet/world.hpp"
+#include "core/ddos.hpp"
 #include "core/parallel_study.hpp"
 #include "emu/sandbox.hpp"
 #include "mal/binary.hpp"
 #include "profile/parse.hpp"
 #include "profile/registry.hpp"
 #include "profile/wire.hpp"
-#include "proto/daddyl33t.hpp"
-#include "proto/gafgyt.hpp"
-#include "proto/mirai.hpp"
 #include "report/dataset_io.hpp"
 #include "testkit/testkit.hpp"
 
@@ -81,6 +79,20 @@ bool same_command(const proto::AttackCommand& a, const proto::AttackCommand& b) 
          a.duration_s == b.duration_s;
 }
 
+proto::AttackCommand golden_cmd(proto::Family family, proto::AttackType type,
+                                net::Endpoint target, std::uint32_t duration_s) {
+  proto::AttackCommand cmd;
+  cmd.family = family;
+  cmd.type = type;
+  cmd.target = target;
+  cmd.duration_s = duration_s;
+  return cmd;
+}
+
+std::string golden_text(const std::string& name) {
+  return util::to_string(testkit::corpus_file(name));
+}
+
 }  // namespace
 
 // --- builtin profiles --------------------------------------------------------
@@ -120,76 +132,95 @@ TEST(Profile, CanonicalRoundTripPreservesProfileAndHash) {
   EXPECT_EQ(*back, v);
 }
 
-// --- wire parity with the compiled-in proto codecs ---------------------------
+// --- golden wire bytes --------------------------------------------------------
+// tests/corpus holds the builtin dialects' wire bytes, written by
+// malnet_make_corpus from these codecs (the corpus_up_to_date ctest keeps
+// the two in step). Encoding must reproduce each file, and decoding it must
+// give the original message back.
 
-TEST(ProfileWire, MiraiBinaryFramingMatchesProtoByteForByte) {
+TEST(ProfileWire, MiraiBinaryFramingMatchesGoldenCorpus) {
   const auto p = builtin_profile(proto::Family::kMirai);
-  EXPECT_EQ(wire::encode_handshake(p, "bot-7"),
-            proto::mirai::encode_handshake("bot-7"));
-  EXPECT_EQ(wire::encode_keepalive(), proto::mirai::encode_keepalive());
-  EXPECT_TRUE(wire::is_keepalive(proto::mirai::encode_keepalive()));
+  const auto handshake = testkit::corpus_file("mirai_handshake.bin");
+  EXPECT_EQ(wire::encode_handshake(p, "mips.malnet.1"), handshake);
+  const auto hs = wire::decode_handshake(p, handshake);
+  ASSERT_TRUE(hs.has_value());
+  EXPECT_EQ(hs->bot_id, "mips.malnet.1");
+
+  const auto keepalive = testkit::corpus_file("mirai_keepalive.bin");
+  EXPECT_EQ(wire::encode_keepalive(), keepalive);
+  EXPECT_TRUE(wire::is_keepalive(keepalive));
+
+  const auto cmd = golden_cmd(proto::Family::kMirai, proto::AttackType::kSynFlood,
+                              {net::Ipv4{203, 0, 113, 9}, 443}, 120);
+  const auto attack = testkit::corpus_file("mirai_attack.bin");
+  EXPECT_EQ(wire::encode_binary_attack(p, cmd), attack);
+  const auto back = wire::decode_binary_attack(p, attack);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE(same_command(*back, cmd));
+  EXPECT_EQ(back->raw, attack);
 
   for (const auto type : proto::attacks_of(proto::Family::kMirai)) {
-    const auto cmd = make_cmd(proto::Family::kMirai, type);
-    const auto ours = wire::encode_binary_attack(p, cmd);
-    EXPECT_EQ(ours, proto::mirai::encode_attack(cmd)) << proto::to_string(type);
-    // Cross-decoding: each decoder accepts the other's bytes.
-    const auto d1 = wire::decode_binary_attack(p, proto::mirai::encode_attack(cmd));
-    const auto d2 = proto::mirai::decode_attack(ours);
-    ASSERT_TRUE(d1 && d2) << proto::to_string(type);
-    EXPECT_TRUE(same_command(*d1, cmd));
-    EXPECT_TRUE(same_command(*d2, cmd));
+    const auto c = make_cmd(proto::Family::kMirai, type);
+    const auto d = wire::decode_binary_attack(p, wire::encode_binary_attack(p, c));
+    ASSERT_TRUE(d.has_value()) << proto::to_string(type);
+    EXPECT_TRUE(same_command(*d, c)) << proto::to_string(type);
   }
-
-  const auto hs = wire::decode_handshake(p, proto::mirai::encode_handshake("x"));
-  ASSERT_TRUE(hs.has_value());
-  EXPECT_EQ(hs->bot_id, "x");
 }
 
-TEST(ProfileWire, GafgytTextFramingMatchesProtoByteForByte) {
+TEST(ProfileWire, GafgytTextFramingMatchesGoldenCorpus) {
   const auto p = builtin_profile(proto::Family::kGafgyt);
-  EXPECT_EQ(wire::encode_hello(p, "MIPS"), proto::gafgyt::encode_hello("MIPS"));
-  EXPECT_EQ(wire::encode_ping(p), proto::gafgyt::encode_ping());
-  EXPECT_EQ(wire::encode_pong(p), proto::gafgyt::encode_pong());
+  const auto hello = golden_text("gafgyt_hello.txt");
+  EXPECT_EQ(wire::encode_hello(p, "MIPS"), hello);
+  const auto arch = wire::decode_hello(p, hello);
+  ASSERT_TRUE(arch.has_value());
+  EXPECT_EQ(*arch, "MIPS");
+  EXPECT_EQ(wire::encode_ping(p), "PING\n");
+  EXPECT_EQ(wire::encode_pong(p), "PONG\n");
   EXPECT_TRUE(wire::is_ping(p, "PING"));
   EXPECT_FALSE(wire::is_ping(p, "ping me"));
 
-  const auto arch = wire::decode_hello(p, proto::gafgyt::encode_hello("ARMv7"));
-  ASSERT_TRUE(arch.has_value());
-  EXPECT_EQ(*arch, "ARMv7");
+  const auto cmd = golden_cmd(proto::Family::kGafgyt, proto::AttackType::kStd,
+                              {net::Ipv4{198, 51, 100, 7}, 9999}, 60);
+  const auto attack = golden_text("gafgyt_attack.txt");
+  EXPECT_EQ(wire::encode_text_attack(p, cmd), attack);
+  const auto back = wire::decode_text_attack(p, attack);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE(same_command(*back, cmd));
+  EXPECT_EQ(back->raw, util::to_bytes(attack));
 
   for (const auto type : proto::attacks_of(proto::Family::kGafgyt)) {
-    const auto cmd = make_cmd(proto::Family::kGafgyt, type);
-    const auto ours = wire::encode_text_attack(p, cmd);
-    EXPECT_EQ(ours, proto::gafgyt::encode_attack(cmd)) << proto::to_string(type);
-    const auto d1 = wire::decode_text_attack(p, proto::gafgyt::encode_attack(cmd));
-    const auto d2 = proto::gafgyt::decode_attack(ours);
-    ASSERT_TRUE(d1 && d2) << proto::to_string(type);
-    EXPECT_TRUE(same_command(*d1, cmd));
-    EXPECT_TRUE(same_command(*d2, cmd));
+    const auto c = make_cmd(proto::Family::kGafgyt, type);
+    const auto d = wire::decode_text_attack(p, wire::encode_text_attack(p, c));
+    ASSERT_TRUE(d.has_value()) << proto::to_string(type);
+    EXPECT_TRUE(same_command(*d, c)) << proto::to_string(type);
   }
 }
 
-TEST(ProfileWire, Daddyl33tTextFramingMatchesProtoByteForByte) {
+TEST(ProfileWire, Daddyl33tTextFramingMatchesGoldenCorpus) {
   const auto p = builtin_profile(proto::Family::kDaddyl33t);
-  EXPECT_EQ(wire::encode_hello(p, "bot42"), proto::daddyl33t::encode_login("bot42"));
-  EXPECT_EQ(wire::encode_ping(p), proto::daddyl33t::encode_ping());
-  EXPECT_EQ(wire::encode_pong(p), proto::daddyl33t::encode_pong());
-
-  const auto id = wire::decode_hello(p, proto::daddyl33t::encode_login("bot42"));
+  const auto login = golden_text("daddyl33t_login.txt");
+  EXPECT_EQ(wire::encode_hello(p, "bot42"), login);
+  const auto id = wire::decode_hello(p, login);
   ASSERT_TRUE(id.has_value());
   EXPECT_EQ(*id, "bot42");
   EXPECT_FALSE(wire::decode_hello(p, "l33t LOGIN a b\n").has_value());
+  EXPECT_EQ(wire::encode_ping(p), ".ping\n");
+  EXPECT_EQ(wire::encode_pong(p), ".pong\n");
+
+  const auto cmd = golden_cmd(proto::Family::kDaddyl33t, proto::AttackType::kBlacknurse,
+                              {net::Ipv4{192, 0, 2, 55}, 0}, 45);
+  const auto attack = golden_text("daddyl33t_attack.txt");
+  EXPECT_EQ(wire::encode_text_attack(p, cmd), attack);
+  const auto back = wire::decode_text_attack(p, attack);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE(same_command(*back, cmd));
+  EXPECT_EQ(back->raw, util::to_bytes(attack));
 
   for (const auto type : proto::attacks_of(proto::Family::kDaddyl33t)) {
-    const auto cmd = make_cmd(proto::Family::kDaddyl33t, type);
-    const auto ours = wire::encode_text_attack(p, cmd);
-    EXPECT_EQ(ours, proto::daddyl33t::encode_attack(cmd)) << proto::to_string(type);
-    const auto d1 = wire::decode_text_attack(p, proto::daddyl33t::encode_attack(cmd));
-    const auto d2 = proto::daddyl33t::decode_attack(ours);
-    ASSERT_TRUE(d1 && d2) << proto::to_string(type);
-    EXPECT_TRUE(same_command(*d1, cmd));
-    EXPECT_TRUE(same_command(*d2, cmd));
+    const auto c = make_cmd(proto::Family::kDaddyl33t, type);
+    const auto d = wire::decode_text_attack(p, wire::encode_text_attack(p, c));
+    ASSERT_TRUE(d.has_value()) << proto::to_string(type);
+    EXPECT_TRUE(same_command(*d, c)) << proto::to_string(type);
   }
 }
 
@@ -200,7 +231,6 @@ TEST(ProfileWire, VariantDialectIsIncompatibleWithBuiltin) {
   EXPECT_NE(hs, wire::encode_handshake(builtin, "bot"));
   EXPECT_FALSE(wire::decode_handshake(builtin, hs).has_value());
   EXPECT_TRUE(wire::decode_handshake(variant, hs).has_value());
-  EXPECT_FALSE(proto::mirai::decode_handshake(hs).has_value());
 }
 
 TEST(ProfileWire, EncodeThrowsForMissingCommandType) {
@@ -496,6 +526,114 @@ TEST(ProfileEndToEnd, VariantBotSpeaksVariantDialectOnly) {
   EXPECT_GE(ok.commands.size(), 1u);
   const auto refused = run_against(nullptr);
   EXPECT_EQ(refused.commands.size(), 0u);
+}
+
+// --- DDoS decoding through the registry -------------------------------------
+
+TEST(ProfileDdos, VariantTextGrammarIsDecodedByProtocol) {
+  // A Gafgyt fork with its own attack prefix and UDP keyword: the command
+  // "!! HAMMER ip port secs" parses under no builtin grammar, so only the
+  // registry that loaded the variant can decode it by protocol.
+  auto variant = builtin_profile(proto::Family::kGafgyt);
+  variant.name = "gafgyt-hammer";
+  variant.attack_prefix = "!!";
+  ASSERT_EQ(variant.commands.front().type, proto::AttackType::kUdpFlood);
+  variant.commands.front().keyword = "HAMMER";
+  variant.attacker_quota = 0;
+  ASSERT_FALSE(variant.validate().has_value()) << *variant.validate();
+  Registry reg;
+  const auto path = tmp_path("ddos_gafgyt_hammer.json");
+  write_text(path, variant.to_pretty_json());
+  ASSERT_FALSE(reg.load_file(path).has_value());
+
+  const net::Endpoint c2{net::Ipv4{60, 2, 2, 2}, 666};
+  mal::MbfBinary bin;
+  bin.behavior.family = proto::Family::kGafgyt;
+  bin.behavior.profile_name = variant.name;
+  bin.behavior.bot_id = "hbot";
+  bin.behavior.c2_ip = c2.ip;
+  bin.behavior.c2_port = c2.port;
+  util::Rng forge_rng(9);
+  const auto binary = mal::forge(bin, forge_rng);
+
+  sim::EventScheduler sched;
+  sim::Network net{sched};
+  botnet::C2ServerConfig cfg;
+  cfg.family = proto::Family::kGafgyt;
+  cfg.ip = c2.ip;
+  cfg.port = c2.port;
+  cfg.accept_prob = 1.0;
+  cfg.profile = reg.by_name(variant.name);
+  const auto cmd = make_cmd(proto::Family::kGafgyt, proto::AttackType::kUdpFlood);
+  cfg.attack_plan = {cmd};
+  botnet::C2Server server(net, cfg, util::Rng(11));
+
+  emu::SandboxConfig sc;
+  sc.profiles = &reg;
+  emu::Sandbox sandbox(net, sc);
+  emu::SandboxOptions opts;
+  opts.mode = emu::SandboxMode::kLive;
+  opts.duration = sim::Duration::minutes(40);
+  opts.allowed_c2 = c2;
+  emu::SandboxReport report;
+  sandbox.start(binary, opts, [&](const emu::SandboxReport& r) { report = r; });
+  sched.run_until(sched.now() + opts.duration + sim::Duration::minutes(1));
+  ASSERT_EQ(report.commands.size(), 1u) << "the variant bot must act on the command";
+
+  const auto dets = core::detect_ddos(report, c2, proto::Family::kGafgyt, reg);
+  ASSERT_EQ(dets.size(), 1u);
+  EXPECT_EQ(dets[0].method, core::DdosMethod::kProtocolProfile);
+  EXPECT_TRUE(dets[0].verified);
+  EXPECT_TRUE(same_command(dets[0].command, cmd));
+  EXPECT_EQ(util::to_string(dets[0].command.raw), "!! HAMMER 198.51.100.7 80 30");
+
+  // The builtin registry cannot read the dialect: at most the behavioural
+  // heuristic sees the flood.
+  for (const auto& det : core::detect_ddos(report, c2, proto::Family::kGafgyt,
+                                           Registry::builtin())) {
+    EXPECT_EQ(det.method, core::DdosMethod::kBehaviouralHeuristic);
+  }
+}
+
+TEST(ProfileDdos, SharedGrammarVariantDoesNotDoubleCount) {
+  // mirai-fallback shares the builtin Mirai attack grammar; a frame both
+  // profiles accept is one command, decoded by the first in registry order.
+  Registry reg;
+  const auto path = tmp_path("ddos_mirai_fallback.json");
+  write_text(path, make_variant().to_pretty_json());
+  ASSERT_FALSE(reg.load_file(path).has_value());
+
+  const net::Endpoint c2{net::Ipv4{60, 1, 1, 1}, 23};
+  const auto cmd = make_cmd(proto::Family::kMirai, proto::AttackType::kSynFlood);
+  emu::SandboxReport report;
+  net::Packet frame;
+  frame.time = util::SimTime{1'000'000};
+  frame.src = c2.ip;
+  frame.src_port = c2.port;
+  frame.dst = net::Ipv4{10, 77, 0, 16};
+  frame.proto = net::Protocol::kTcp;
+  frame.payload =
+      wire::encode_binary_attack(builtin_profile(proto::Family::kMirai), cmd);
+  report.capture.push_back(frame);
+  for (int i = 0; i < 50; ++i) {
+    net::Packet syn;
+    syn.time = util::SimTime{2'000'000 + i * 5'000};
+    syn.src = frame.dst;
+    syn.dst = cmd.target.ip;
+    syn.proto = net::Protocol::kTcp;
+    syn.dst_port = cmd.target.port;
+    syn.flags.syn = true;
+    report.capture.push_back(syn);
+  }
+
+  for (const auto hint : {std::optional<proto::Family>{},
+                          std::optional<proto::Family>{proto::Family::kMirai}}) {
+    const auto dets = core::detect_ddos(report, c2, hint, reg);
+    ASSERT_EQ(dets.size(), 1u);
+    EXPECT_EQ(dets[0].method, core::DdosMethod::kProtocolProfile);
+    EXPECT_TRUE(dets[0].verified);
+    EXPECT_TRUE(same_command(dets[0].command, cmd));
+  }
 }
 
 // --- behaviour-spec wire extensions ------------------------------------------

@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
+#include "profile/wire.hpp"
 #include "proto/attack.hpp"
-#include "proto/daddyl33t.hpp"
 #include "proto/family.hpp"
-#include "proto/gafgyt.hpp"
 #include "proto/irc.hpp"
-#include "proto/mirai.hpp"
 #include "proto/p2p.hpp"
 
 using namespace malnet;
 using namespace malnet::proto;
+namespace wire = malnet::profile::wire;
+
+namespace {
+// The Mirai/Gafgyt/Daddyl33t dialects as the builtin profiles speak them.
+const profile::FamilyProfile kMirai = profile::builtin_profile(Family::kMirai);
+const profile::FamilyProfile kGafgyt = profile::builtin_profile(Family::kGafgyt);
+const profile::FamilyProfile kDaddyl33t = profile::builtin_profile(Family::kDaddyl33t);
+}  // namespace
 
 // --- family ------------------------------------------------------------------
 
@@ -69,45 +75,50 @@ TEST(Attack, FamilyRepertoires) {
 }
 
 TEST(Attack, KeywordMappingsInvertible) {
+  // The builtin profiles' decode lookups invert the forward tables they
+  // are built from.
   for (const auto t : attacks_of(Family::kGafgyt)) {
     const auto kw = gafgyt_keyword_of(t);
     ASSERT_TRUE(kw);
-    EXPECT_EQ(gafgyt_keyword_to_type(*kw), t);
+    ASSERT_NE(kGafgyt.by_keyword(*kw), nullptr) << *kw;
+    EXPECT_EQ(kGafgyt.by_keyword(*kw)->type, t);
   }
   for (const auto t : attacks_of(Family::kDaddyl33t)) {
     const auto kw = daddyl33t_keyword_of(t);
     ASSERT_TRUE(kw);
-    EXPECT_EQ(daddyl33t_keyword_to_type(*kw), t);
+    ASSERT_NE(kDaddyl33t.by_keyword(*kw), nullptr) << *kw;
+    EXPECT_EQ(kDaddyl33t.by_keyword(*kw)->type, t);
   }
   for (const auto t : attacks_of(Family::kMirai)) {
     const auto vec = mirai_vector_of(t);
     ASSERT_TRUE(vec);
-    EXPECT_EQ(mirai_vector_to_type(*vec), t);
+    ASSERT_NE(kMirai.by_vector(*vec), nullptr) << int{*vec};
+    EXPECT_EQ(kMirai.by_vector(*vec)->type, t);
   }
   EXPECT_FALSE(gafgyt_keyword_of(AttackType::kBlacknurse));
-  EXPECT_FALSE(mirai_vector_to_type(99));
+  EXPECT_EQ(kMirai.by_vector(99), nullptr);
 }
 
 // --- Mirai binary protocol -----------------------------------------------------
 
 TEST(Mirai, HandshakeRoundTrip) {
-  const auto wire = mirai::encode_handshake("mips.bot.7");
-  const auto hs = mirai::decode_handshake(wire);
+  const auto bytes = wire::encode_handshake(kMirai, "mips.bot.7");
+  const auto hs = wire::decode_handshake(kMirai, bytes);
   ASSERT_TRUE(hs);
   EXPECT_EQ(hs->bot_id, "mips.bot.7");
 }
 
 TEST(Mirai, HandshakeRejectsJunk) {
-  EXPECT_FALSE(mirai::decode_handshake(util::from_hex("00000002 00")));
-  EXPECT_FALSE(mirai::decode_handshake(util::from_hex("00000001 05 6161")));
-  auto wire = mirai::encode_handshake("x");
-  wire.push_back(0);  // trailing garbage
-  EXPECT_FALSE(mirai::decode_handshake(wire));
+  EXPECT_FALSE(wire::decode_handshake(kMirai, util::from_hex("00000002 00")));
+  EXPECT_FALSE(wire::decode_handshake(kMirai, util::from_hex("00000001 05 6161")));
+  auto bytes = wire::encode_handshake(kMirai, "x");
+  bytes.push_back(0);  // trailing garbage
+  EXPECT_FALSE(wire::decode_handshake(kMirai, bytes));
 }
 
 TEST(Mirai, Keepalive) {
-  EXPECT_TRUE(mirai::is_keepalive(mirai::encode_keepalive()));
-  EXPECT_FALSE(mirai::is_keepalive(util::from_hex("0001")));
+  EXPECT_TRUE(wire::is_keepalive(wire::encode_keepalive()));
+  EXPECT_FALSE(wire::is_keepalive(util::from_hex("0001")));
 }
 
 TEST(Mirai, AttackCommandRoundTrip) {
@@ -115,21 +126,22 @@ TEST(Mirai, AttackCommandRoundTrip) {
   cmd.type = AttackType::kSynFlood;
   cmd.target = {net::Ipv4{203, 0, 113, 9}, 443};
   cmd.duration_s = 120;
-  const auto wire = mirai::encode_attack(cmd);
-  const auto decoded = mirai::decode_attack(wire);
+  const auto bytes = wire::encode_binary_attack(kMirai, cmd);
+  const auto decoded = wire::decode_binary_attack(kMirai, bytes);
   ASSERT_TRUE(decoded);
   EXPECT_EQ(decoded->type, AttackType::kSynFlood);
   EXPECT_EQ(decoded->target, cmd.target);
   EXPECT_EQ(decoded->duration_s, 120u);
   EXPECT_EQ(decoded->family, Family::kMirai);
-  EXPECT_EQ(decoded->raw, wire);
+  EXPECT_EQ(decoded->raw, bytes);
 }
 
 TEST(Mirai, AttackWithoutPortOption) {
   AttackCommand cmd;
   cmd.type = AttackType::kUdpFlood;
   cmd.target = {net::Ipv4{1, 2, 3, 4}, 0};
-  const auto decoded = mirai::decode_attack(mirai::encode_attack(cmd));
+  const auto decoded =
+      wire::decode_binary_attack(kMirai, wire::encode_binary_attack(kMirai, cmd));
   ASSERT_TRUE(decoded);
   EXPECT_EQ(decoded->target.port, 0);
 }
@@ -137,35 +149,38 @@ TEST(Mirai, AttackWithoutPortOption) {
 TEST(Mirai, EncodeRejectsForeignTypes) {
   AttackCommand cmd;
   cmd.type = AttackType::kBlacknurse;  // daddyl33t-only
-  EXPECT_THROW((void)mirai::encode_attack(cmd), std::invalid_argument);
+  EXPECT_THROW((void)wire::encode_binary_attack(kMirai, cmd), std::invalid_argument);
 }
 
 TEST(Mirai, DecodeRejectsMalformedFrames) {
-  EXPECT_FALSE(mirai::decode_attack(util::from_hex("0000")));       // keepalive
-  EXPECT_FALSE(mirai::decode_attack(util::from_hex("0001 00")));    // short body
-  EXPECT_FALSE(mirai::decode_attack(util::from_hex("00ff 00")));    // truncated
+  const auto decode = [](const util::Bytes& bytes) {
+    return wire::decode_binary_attack(kMirai, bytes);
+  };
+  EXPECT_FALSE(decode(util::from_hex("0000")));     // keepalive
+  EXPECT_FALSE(decode(util::from_hex("0001 00")));  // short body
+  EXPECT_FALSE(decode(util::from_hex("00ff 00")));  // truncated
   AttackCommand cmd;
   cmd.type = AttackType::kUdpFlood;
   cmd.target = {net::Ipv4{1, 2, 3, 4}, 80};
-  auto wire = mirai::encode_attack(cmd);
-  wire[6] = 99;  // unknown vector id
-  EXPECT_FALSE(mirai::decode_attack(wire));
+  auto bytes = wire::encode_binary_attack(kMirai, cmd);
+  bytes[6] = 99;  // unknown vector id
+  EXPECT_FALSE(decode(bytes));
 }
 
 // --- Gafgyt text protocol -----------------------------------------------------
 
 TEST(Gafgyt, HelloRoundTrip) {
-  const auto hello = gafgyt::encode_hello("MIPS");
-  const auto arch = gafgyt::decode_hello(hello);
+  const auto hello = wire::encode_hello(kGafgyt, "MIPS");
+  const auto arch = wire::decode_hello(kGafgyt, hello);
   ASSERT_TRUE(arch);
   EXPECT_EQ(*arch, "MIPS");
-  EXPECT_FALSE(gafgyt::decode_hello("HELLO MIPS"));
+  EXPECT_FALSE(wire::decode_hello(kGafgyt, "HELLO MIPS"));
 }
 
 TEST(Gafgyt, PingPong) {
-  EXPECT_TRUE(gafgyt::is_ping("PING\n"));
-  EXPECT_TRUE(gafgyt::is_pong("PONG\n"));
-  EXPECT_FALSE(gafgyt::is_ping("PING yes"));
+  EXPECT_TRUE(wire::is_ping(kGafgyt, "PING\n"));
+  EXPECT_TRUE(wire::is_pong(kGafgyt, "PONG\n"));
+  EXPECT_FALSE(wire::is_ping(kGafgyt, "PING yes"));
 }
 
 TEST(Gafgyt, AttackRoundTrip) {
@@ -173,9 +188,9 @@ TEST(Gafgyt, AttackRoundTrip) {
   cmd.type = AttackType::kStd;
   cmd.target = {net::Ipv4{198, 51, 100, 7}, 9999};
   cmd.duration_s = 60;
-  const auto line = gafgyt::encode_attack(cmd);
+  const auto line = wire::encode_text_attack(kGafgyt, cmd);
   EXPECT_EQ(line, "!* STD 198.51.100.7 9999 60\n");
-  const auto decoded = gafgyt::decode_attack(line);
+  const auto decoded = wire::decode_text_attack(kGafgyt, line);
   ASSERT_TRUE(decoded);
   EXPECT_EQ(decoded->type, AttackType::kStd);
   EXPECT_EQ(decoded->target, cmd.target);
@@ -183,21 +198,25 @@ TEST(Gafgyt, AttackRoundTrip) {
 }
 
 TEST(Gafgyt, DecodeRejectsMalformed) {
-  EXPECT_FALSE(gafgyt::decode_attack("!* UDP 1.2.3.4 80"));          // missing time
-  EXPECT_FALSE(gafgyt::decode_attack("!* HYDRASYN 1.2.3.4 80 10"));  // foreign verb
-  EXPECT_FALSE(gafgyt::decode_attack("UDP 1.2.3.4 80 10"));          // no prefix
-  EXPECT_FALSE(gafgyt::decode_attack("!* UDP 1.2.3.999 80 10"));     // bad ip
-  EXPECT_FALSE(gafgyt::decode_attack("!* UDP 1.2.3.4 99999 10"));    // bad port
+  const auto decode = [](std::string_view line) {
+    return wire::decode_text_attack(kGafgyt, line);
+  };
+  EXPECT_FALSE(decode("!* UDP 1.2.3.4 80"));          // missing time
+  EXPECT_FALSE(decode("!* HYDRASYN 1.2.3.4 80 10"));  // foreign verb
+  EXPECT_FALSE(decode("UDP 1.2.3.4 80 10"));          // no prefix
+  EXPECT_FALSE(decode("!* UDP 1.2.3.999 80 10"));     // bad ip
+  EXPECT_FALSE(decode("!* UDP 1.2.3.4 99999 10"));    // bad port
 }
 
 // --- Daddyl33t text protocol ---------------------------------------------------
 
 TEST(Daddyl33t, LoginRoundTrip) {
-  const auto line = daddyl33t::encode_login("bot42");
-  const auto id = daddyl33t::decode_login(line);
+  const auto line = wire::encode_hello(kDaddyl33t, "bot42");
+  EXPECT_EQ(line, "l33t LOGIN bot42\n");
+  const auto id = wire::decode_hello(kDaddyl33t, line);
   ASSERT_TRUE(id);
   EXPECT_EQ(*id, "bot42");
-  EXPECT_FALSE(daddyl33t::decode_login("LOGIN bot42"));
+  EXPECT_FALSE(wire::decode_hello(kDaddyl33t, "LOGIN bot42"));
 }
 
 TEST(Daddyl33t, AttackRoundTripAllVerbs) {
@@ -207,7 +226,8 @@ TEST(Daddyl33t, AttackRoundTripAllVerbs) {
     cmd.target = {net::Ipv4{192, 0, 2, 55},
                   type == AttackType::kBlacknurse ? net::Port{0} : net::Port{4567}};
     cmd.duration_s = 45;
-    const auto decoded = daddyl33t::decode_attack(daddyl33t::encode_attack(cmd));
+    const auto decoded = wire::decode_text_attack(
+        kDaddyl33t, wire::encode_text_attack(kDaddyl33t, cmd));
     ASSERT_TRUE(decoded) << to_string(type);
     EXPECT_EQ(decoded->type, type);
     EXPECT_EQ(decoded->target, cmd.target);
@@ -220,9 +240,11 @@ TEST(Daddyl33t, GrammarIsDistinctFromGafgyt) {
   AttackCommand cmd;
   cmd.type = AttackType::kUdpFlood;
   cmd.target = {net::Ipv4{1, 2, 3, 4}, 80};
-  EXPECT_NE(daddyl33t::encode_attack(cmd), gafgyt::encode_attack(cmd));
-  EXPECT_FALSE(gafgyt::decode_attack(daddyl33t::encode_attack(cmd)));
-  EXPECT_FALSE(daddyl33t::decode_attack(gafgyt::encode_attack(cmd)));
+  const auto daddy = wire::encode_text_attack(kDaddyl33t, cmd);
+  const auto gafgyt = wire::encode_text_attack(kGafgyt, cmd);
+  EXPECT_NE(daddy, gafgyt);
+  EXPECT_FALSE(wire::decode_text_attack(kGafgyt, daddy));
+  EXPECT_FALSE(wire::decode_text_attack(kDaddyl33t, gafgyt));
 }
 
 // --- IRC (Tsunami) -------------------------------------------------------------

@@ -12,10 +12,8 @@
 #include "core/c2detect.hpp"
 #include "core/offline.hpp"
 #include "net/pcap.hpp"
-#include "proto/daddyl33t.hpp"
-#include "proto/gafgyt.hpp"
+#include "profile/wire.hpp"
 #include "proto/irc.hpp"
-#include "proto/mirai.hpp"
 #include "proto/p2p.hpp"
 #include "util/rng.hpp"
 
@@ -57,22 +55,25 @@ void corruption_sweep(const util::Bytes& valid, F&& decode) {
 }  // namespace
 
 TEST(Robustness, MiraiDecoders) {
-  const auto decode = [](const util::Bytes& b) {
-    (void)proto::mirai::decode_handshake(b);
-    (void)proto::mirai::decode_attack(b);
-    (void)proto::mirai::is_keepalive(b);
+  const auto mirai = profile::builtin_profile(proto::Family::kMirai);
+  const auto decode = [&mirai](const util::Bytes& b) {
+    (void)profile::wire::decode_handshake(mirai, b);
+    (void)profile::wire::decode_binary_attack(mirai, b);
+    (void)profile::wire::is_keepalive(b);
   };
   random_soup(decode, 1);
   proto::AttackCommand cmd;
   cmd.type = proto::AttackType::kUdpFlood;
   cmd.target = {net::Ipv4{1, 2, 3, 4}, 80};
-  const auto valid = proto::mirai::encode_attack(cmd);
+  const auto valid = profile::wire::encode_binary_attack(mirai, cmd);
   truncation_sweep(valid, decode);
   corruption_sweep(valid, decode);
-  truncation_sweep(proto::mirai::encode_handshake("bot-id"), decode);
+  truncation_sweep(profile::wire::encode_handshake(mirai, "bot-id"), decode);
 }
 
 TEST(Robustness, TextProtocolDecoders) {
+  const auto gafgyt = profile::builtin_profile(proto::Family::kGafgyt);
+  const auto daddyl33t = profile::builtin_profile(proto::Family::kDaddyl33t);
   util::Rng rng(2);
   for (int i = 0; i < 400; ++i) {
     std::string line;
@@ -80,10 +81,10 @@ TEST(Robustness, TextProtocolDecoders) {
     for (std::size_t k = 0; k < len; ++k) {
       line.push_back(static_cast<char>(rng.uniform(1, 255)));
     }
-    (void)proto::gafgyt::decode_attack(line);
-    (void)proto::gafgyt::decode_hello(line);
-    (void)proto::daddyl33t::decode_attack(line);
-    (void)proto::daddyl33t::decode_login(line);
+    (void)profile::wire::decode_text_attack(gafgyt, line);
+    (void)profile::wire::decode_hello(gafgyt, line);
+    (void)profile::wire::decode_text_attack(daddyl33t, line);
+    (void)profile::wire::decode_hello(daddyl33t, line);
     (void)proto::irc::parse(line);
   }
 }

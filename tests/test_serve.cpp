@@ -9,6 +9,7 @@
 // or wedge the server.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -16,6 +17,8 @@
 #include <memory>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/parallel_study.hpp"
 #include "serve/client.hpp"
@@ -25,26 +28,34 @@
 #include "testkit/mutate.hpp"
 #include "util/rng.hpp"
 #include "util/socket.hpp"
+#include "util/str.hpp"
+#include "vulndb/vulndb.hpp"
 
 using namespace malnet;
 namespace fs = std::filesystem;
 
 namespace {
 
+/// Commits a small two-shard study (48 samples, seed 22) into a fresh
+/// store at `dir`.
+void build_store(const std::string& dir) {
+  fs::remove_all(dir);
+  core::ParallelStudyConfig cfg;
+  cfg.base.seed = 22;
+  cfg.base.world.total_samples = 48;
+  cfg.base.run_probe_campaign = false;
+  cfg.shards = 2;
+  cfg.jobs = 2;
+  store::Store st(dir);
+  (void)store::run_store_study(cfg, st, /*resume=*/false);
+}
+
 /// One small committed store shared by every server test in this binary
 /// (building it runs a real two-shard study; do that once).
 const std::string& fixture_dir() {
   static const std::string kDir = [] {
     const auto dir = ::testing::TempDir() + "/serve_fixture";
-    fs::remove_all(dir);
-    core::ParallelStudyConfig cfg;
-    cfg.base.seed = 22;
-    cfg.base.world.total_samples = 48;
-    cfg.base.run_probe_campaign = false;
-    cfg.shards = 2;
-    cfg.jobs = 2;
-    store::Store st(dir);
-    (void)store::run_store_study(cfg, st, /*resume=*/false);
+    build_store(dir);
     return dir;
   }();
   return kDir;
@@ -223,6 +234,53 @@ TEST(Serve, ConcurrentClientsGetByteIdenticalAnswers) {
             static_cast<std::uint64_t>(kClients * kRounds * queries.size()));
   EXPECT_EQ(counter_value(snap, "serve.connections_accepted"),
             static_cast<std::uint64_t>(kClients));
+}
+
+TEST(Serve, ExploitLookupResolvesEveryListedLabel) {
+  // `exploits` labels non-CVE vulnerabilities by their vulndb names, several
+  // of which contain spaces ("Vacron NVR RCE"); `exploit <label>` must
+  // resolve every such label, in-process and over the wire alike. The
+  // store is private to this process: other test processes rebuild the
+  // shared fixture directory concurrently under `ctest -j`.
+  const auto dir =
+      ::testing::TempDir() + "/serve_exploit_labels_" + std::to_string(getpid());
+  build_store(dir);
+  store::Store st(dir);
+  store::QueryEngine engine(st);
+  std::vector<std::string> labels;
+  for (const auto& line : util::split(engine.answer("exploits"), '\n')) {
+    const auto end = line.find(" count=");
+    if (end != std::string::npos) labels.push_back(line.substr(0, end));
+  }
+  const auto& db = vulndb::VulnDatabase::instance();
+  for (std::size_t i = 0; i < vulndb::kVulnCount; ++i) {
+    const auto& v = db.by_id(static_cast<vulndb::VulnId>(i));
+    labels.push_back(v.cve ? *v.cve : vulndb::to_string(v.id));
+  }
+  ASSERT_TRUE(std::any_of(labels.begin(), labels.end(), [](const std::string& l) {
+    return l.find(' ') != std::string::npos;
+  }));
+
+  store::Store served_store(dir);
+  obs::Registry registry;
+  serve::ServeConfig cfg;
+  cfg.host = "127.0.0.1";
+  cfg.port = 0;
+  cfg.io_threads = 2;
+  serve::Server server(served_store, cfg, registry);
+  server.start();
+  serve::Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  for (const auto& label : labels) {
+    const auto answer = engine.answer("exploit " + label);
+    EXPECT_EQ(answer.rfind(label + " count=", 0), 0u) << answer;
+    const auto served = client.query("exploit " + label);
+    ASSERT_TRUE(served.has_value()) << label;
+    EXPECT_EQ(*served, answer);
+  }
+  client.close();
+  server.stop();
+  fs::remove_all(dir);
 }
 
 TEST(Serve, PipelinedRequestsAnsweredInOrder) {

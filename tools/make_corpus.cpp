@@ -5,9 +5,9 @@
 //
 //   malnet_make_corpus [output-dir]     (default: tests/corpus)
 //
-// test_testkit's CorpusEntriesAreValid locks the committed files to the
-// decoders; if an encoder legitimately changes, rerun this tool and commit
-// the result.
+// The corpus_up_to_date ctest reruns this tool and fails unless its output
+// is byte-equal to the committed files; if an encoder legitimately changes,
+// rerun this tool and commit the result.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -17,10 +17,8 @@
 #include "net/packet.hpp"
 #include "net/pcap.hpp"
 #include "profile/profile.hpp"
-#include "proto/daddyl33t.hpp"
-#include "proto/gafgyt.hpp"
+#include "profile/wire.hpp"
 #include "proto/irc.hpp"
-#include "proto/mirai.hpp"
 #include "proto/p2p.hpp"
 #include "report/dataset_io.hpp"
 #include "store/segment.hpp"
@@ -80,30 +78,38 @@ int main(int argc, char** argv) {
   const std::filesystem::path dir = argc > 1 ? argv[1] : "tests/corpus";
   std::filesystem::create_directories(dir);
 
-  // --- Mirai (binary C2 protocol) ---
-  write_file(dir / "mirai_handshake.bin", mirai::encode_handshake("mips.malnet.1"));
-  write_file(dir / "mirai_keepalive.bin", mirai::encode_keepalive());
+  // --- Mirai (binary C2 protocol, builtin profile) ---
+  const auto mirai = profile::builtin_profile(Family::kMirai);
+  write_file(dir / "mirai_handshake.bin",
+             profile::wire::encode_handshake(mirai, "mips.malnet.1"));
+  write_file(dir / "mirai_keepalive.bin", profile::wire::encode_keepalive());
   proto::AttackCommand mirai_cmd;
   mirai_cmd.type = proto::AttackType::kSynFlood;
   mirai_cmd.target = {net::Ipv4{203, 0, 113, 9}, 443};
   mirai_cmd.duration_s = 120;
-  write_file(dir / "mirai_attack.bin", mirai::encode_attack(mirai_cmd));
+  write_file(dir / "mirai_attack.bin",
+             profile::wire::encode_binary_attack(mirai, mirai_cmd));
 
-  // --- Gafgyt (text C2 protocol) ---
-  write_file(dir / "gafgyt_hello.txt", gafgyt::encode_hello("MIPS"));
+  // --- Gafgyt (text C2 protocol, builtin profile) ---
+  const auto gafgyt = profile::builtin_profile(Family::kGafgyt);
+  write_file(dir / "gafgyt_hello.txt", profile::wire::encode_hello(gafgyt, "MIPS"));
   proto::AttackCommand gafgyt_cmd;
   gafgyt_cmd.type = proto::AttackType::kStd;
   gafgyt_cmd.target = {net::Ipv4{198, 51, 100, 7}, 9999};
   gafgyt_cmd.duration_s = 60;
-  write_file(dir / "gafgyt_attack.txt", gafgyt::encode_attack(gafgyt_cmd));
+  write_file(dir / "gafgyt_attack.txt",
+             profile::wire::encode_text_attack(gafgyt, gafgyt_cmd));
 
-  // --- Daddyl33t (text C2 protocol) ---
-  write_file(dir / "daddyl33t_login.txt", daddyl33t::encode_login("bot42"));
+  // --- Daddyl33t (text C2 protocol, builtin profile) ---
+  const auto daddyl33t = profile::builtin_profile(Family::kDaddyl33t);
+  write_file(dir / "daddyl33t_login.txt",
+             profile::wire::encode_hello(daddyl33t, "bot42"));
   proto::AttackCommand daddy_cmd;
   daddy_cmd.type = proto::AttackType::kBlacknurse;
   daddy_cmd.target = {net::Ipv4{192, 0, 2, 55}, 0};
   daddy_cmd.duration_s = 45;
-  write_file(dir / "daddyl33t_attack.txt", daddyl33t::encode_attack(daddy_cmd));
+  write_file(dir / "daddyl33t_attack.txt",
+             profile::wire::encode_text_attack(daddyl33t, daddy_cmd));
 
   // --- IRC (Tsunami) ---
   write_file(dir / "irc_privmsg.txt",
