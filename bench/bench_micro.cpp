@@ -23,6 +23,31 @@ static void BM_SchedulerChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerChurn)->Arg(1000)->Arg(10000);
 
+static void BM_DarkConnectTimeout(benchmark::State& state) {
+  // The probe campaign's common case as a layer number: a SYN into dark
+  // address space whose only event is the 2 s connect timeout.
+  const auto n = state.range(0);
+  for (auto _ : state) {
+    sim::EventScheduler sched;
+    sim::Network net(sched);
+    sim::Host scout(net, net::Ipv4{10, 0, 0, 1});
+    std::int64_t timeouts = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const net::Ipv4 dark{0x42000000u + static_cast<std::uint32_t>(i)};
+      scout.tcp_connect(
+          {dark, 23},
+          [&timeouts](sim::ConnectOutcome o, sim::TcpConn*) {
+            timeouts += o == sim::ConnectOutcome::kTimeout ? 1 : 0;
+          },
+          sim::Duration::seconds(2));
+    }
+    benchmark::DoNotOptimize(sched.run());
+    benchmark::DoNotOptimize(timeouts);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DarkConnectTimeout)->Arg(1000)->Arg(10000);
+
 static void BM_PacketWireRoundTrip(benchmark::State& state) {
   net::Packet p;
   p.src = net::Ipv4{10, 0, 0, 1};

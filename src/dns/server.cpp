@@ -1,6 +1,7 @@
 #include "dns/server.hpp"
 
-#include "dns/message.hpp"
+#include <stdexcept>
+
 #include "util/str.hpp"
 
 namespace malnet::dns {
@@ -18,6 +19,20 @@ void DnsServer::remove_record(const std::string& name) {
   zone_.erase(util::to_lower(name));
 }
 
+void DnsServer::reply(const net::Packet& query, const Message& response) {
+  util::Bytes wire;
+  try {
+    wire = encode(response);
+  } catch (const std::invalid_argument&) {
+    // decode() accepts any label bytes, so a corrupted query can carry a
+    // name the encoder rejects (a label byte flipped to '.' leaves an empty
+    // label). Such a query is malformed: drop it, and the client sees a
+    // timeout.
+    return;
+  }
+  udp_send({query.src, query.src_port}, wire, /*src_port=*/53);
+}
+
 void DnsServer::handle_query(const net::Packet& p) {
   const auto query = decode(p.payload);
   if (!query || query->is_response || query->questions.empty()) return;
@@ -29,7 +44,7 @@ void DnsServer::handle_query(const net::Packet& p) {
       case QueryFault::kServfail: {
         Message fail = make_response(*query, std::nullopt);
         fail.rcode = Rcode::kServFail;
-        udp_send({p.src, p.src_port}, encode(fail), /*src_port=*/53);
+        reply(p, fail);
         return;
       }
       case QueryFault::kNone:
@@ -43,8 +58,7 @@ void DnsServer::handle_query(const net::Packet& p) {
   } else if (wildcard_) {
     answer = *wildcard_;
   }
-  const util::Bytes reply = encode(make_response(*query, answer));
-  udp_send({p.src, p.src_port}, reply, /*src_port=*/53);
+  reply(p, make_response(*query, answer));
 }
 
 }  // namespace malnet::dns

@@ -8,6 +8,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "dns/message.hpp"
 #include "sim/network.hpp"
 
 namespace malnet::dns {
@@ -40,6 +41,9 @@ class DnsServer : public sim::Host {
 
  private:
   void handle_query(const net::Packet& p);
+  /// Encodes and sends `response` to the query's source; drops it if the
+  /// name cannot be encoded.
+  void reply(const net::Packet& query, const Message& response);
 
   std::unordered_map<std::string, net::Ipv4> zone_;
   std::optional<net::Ipv4> wildcard_;

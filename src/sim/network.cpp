@@ -1,6 +1,7 @@
 #include "sim/network.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "util/log.hpp"
 
@@ -88,13 +89,16 @@ void Network::transmit(net::Packet p) {
 
 void Network::schedule_delivery(SimTime at, net::Packet p) {
   const net::Ipv4 dst_addr = p.dst;
-  sched_.at(at, [this, dst_addr, pkt = std::move(p)]() mutable {
+  auto deliver = [this, dst_addr, pkt = std::move(p)]() mutable {
     // Re-resolve: the host may have detached while the packet was in flight.
     Host* h = host_at(dst_addr);
     if (h == nullptr) return;
     ++rx_count_;
     h->deliver(pkt);
-  });
+  };
+  static_assert(EventScheduler::stores_inline<decltype(deliver)>,
+                "packet delivery must not allocate a scheduler callback");
+  sched_.at(at, std::move(deliver));
 }
 
 // ---------------------------------------------------------------------------
@@ -156,19 +160,18 @@ void Host::tcp_connect(net::Endpoint remote, ConnectHandler cb, Duration timeout
   TcpConn* raw = conn.get();
   conns_.emplace(key, std::move(conn));
 
-  PendingConnect pending;
-  pending.cb = std::move(cb);
-  pending.timeout_event = scheduler().after(
-      timeout, [this, key, w = std::weak_ptr<const bool>(lifetime_)]() {
+  raw->on_connect_ = std::move(cb);
+  auto on_timeout = [this, key, w = std::weak_ptr<const bool>(lifetime_)]() {
     if (w.expired()) return;
-    const auto it = pending_connects_.find(key);
-    if (it == pending_connects_.end()) return;
-    ConnectHandler handler = std::move(it->second.cb);
-    pending_connects_.erase(it);
-    conns_.erase(key);  // abandon the half-open connection silently
+    const auto it = conns_.find(key);
+    if (it == conns_.end() || !it->second->on_connect_) return;
+    const ConnectHandler handler = std::move(it->second->on_connect_);
+    conns_.erase(it);  // abandon the half-open connection silently
     handler(ConnectOutcome::kTimeout, nullptr);
-  });
-  pending_connects_.emplace(key, std::move(pending));
+  };
+  static_assert(EventScheduler::stores_inline<decltype(on_timeout)>,
+                "connect timeout must not allocate a scheduler callback");
+  raw->connect_timeout_ = scheduler().after(timeout, std::move(on_timeout));
 
   raw->emit(net::TcpFlags{.syn = true, .ack = false, .fin = false, .rst = false,
                           .psh = false});
@@ -196,7 +199,10 @@ TcpConn* Host::find_conn(const ConnKey& key) {
 void Host::schedule_conn_erase(const ConnKey& key) {
   schedule_safe(Duration::seconds(60), [this, key]() {
     const auto it = conns_.find(key);
-    if (it != conns_.end() && it->second->state() == TcpConn::State::kClosed) {
+    // A closed active open still awaiting its timeout stays: the timeout
+    // reports its outcome and erases it.
+    if (it != conns_.end() && it->second->state() == TcpConn::State::kClosed &&
+        !it->second->on_connect_) {
       conns_.erase(it);
     }
   });
@@ -242,20 +248,14 @@ void Host::handle_tcp(const net::Packet& p) {
   conn->handle(p);
   const TcpConn::State after = conn->state();
 
-  if (before == TcpConn::State::kSynSent) {
-    const auto pit = pending_connects_.find(key);
-    if (pit != pending_connects_.end()) {
-      if (after == TcpConn::State::kEstablished) {
-        ConnectHandler handler = std::move(pit->second.cb);
-        scheduler().cancel(pit->second.timeout_event);
-        pending_connects_.erase(pit);
-        handler(ConnectOutcome::kConnected, conn);
-      } else if (after == TcpConn::State::kClosed) {
-        ConnectHandler handler = std::move(pit->second.cb);
-        scheduler().cancel(pit->second.timeout_event);
-        pending_connects_.erase(pit);
-        handler(ConnectOutcome::kRefused, nullptr);
-      }
+  if (before == TcpConn::State::kSynSent && conn->on_connect_ &&
+      after != TcpConn::State::kSynSent) {
+    const ConnectHandler handler = std::exchange(conn->on_connect_, nullptr);
+    scheduler().cancel(std::exchange(conn->connect_timeout_, 0));
+    if (after == TcpConn::State::kEstablished) {
+      handler(ConnectOutcome::kConnected, conn);
+    } else {
+      handler(ConnectOutcome::kRefused, nullptr);
     }
   } else if (before == TcpConn::State::kSynRcvd &&
              after == TcpConn::State::kEstablished) {

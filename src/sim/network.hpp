@@ -129,7 +129,6 @@ using InboundRewriter = std::function<void(net::Packet&)>;
 using UdpHandler = std::function<void(const net::Packet&)>;
 using IcmpHandler = std::function<void(const net::Packet&)>;
 using AcceptHandler = std::function<void(TcpConn&)>;
-using ConnectHandler = std::function<void(ConnectOutcome, TcpConn*)>;
 
 /// A network endpoint actor: owns its TCP connections, UDP bindings and the
 /// interposition hooks the sandbox uses. Subclass or compose freely.
@@ -209,11 +208,6 @@ class Host {
  private:
   friend class TcpConn;
 
-  struct PendingConnect {
-    ConnectHandler cb;
-    EventId timeout_event = 0;
-  };
-
   using ConnKey = std::pair<net::Port, net::Endpoint>;  // (local port, remote)
 
   void send_out(net::Packet p);  // filter -> tap -> network
@@ -225,8 +219,10 @@ class Host {
   net::Ipv4 addr_;
   std::string name_;
   std::map<net::Port, AcceptHandler> tcp_listeners_;
+  // Every connection, including half-open active opens: a SYN_SENT TcpConn
+  // carries its own pending ConnectHandler and timeout EventId, so one
+  // lookup here resolves a connect's SYN-ACK, RST or timeout.
   std::map<ConnKey, std::unique_ptr<TcpConn>> conns_;
-  std::map<ConnKey, PendingConnect> pending_connects_;
   std::map<net::Port, UdpHandler> udp_handlers_;
   IcmpHandler icmp_handler_;
   OutboundFilter filter_;

@@ -5,54 +5,114 @@
 
 namespace malnet::sim {
 
-EventId EventScheduler::at(SimTime t, std::function<void()> fn) {
-  const EventId id = next_id_++;
-  queue_.push(Ev{std::max(t, now_), seq_++, id, std::move(fn), current_tag_});
-  ++live_;
-  return id;
+namespace {
+
+// Heap order: the earliest (t, seq) on top.
+struct Later {
+  template <typename K>
+  bool operator()(const K& a, const K& b) const {
+    return a.t != b.t ? a.t > b.t : a.seq > b.seq;
+  }
+};
+
+}  // namespace
+
+EventScheduler::~EventScheduler() {
+  // Indexed, not iterated: a capture's destructor may still schedule.
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    Slot& s = slots_[i];
+    if (s.destroy == nullptr) continue;
+    const Thunk destroy = s.destroy;
+    s.invoke = s.destroy = nullptr;
+    destroy(s.buf);
+  }
 }
 
-EventId EventScheduler::after(Duration d, std::function<void()> fn) {
-  return at(now_ + d, std::move(fn));
+std::uint32_t EventScheduler::free_slot() {
+  if (free_.empty()) {
+    slots_.emplace_back();
+    free_.push_back(static_cast<std::uint32_t>(slots_.size() - 1));
+  }
+  return free_.back();
+}
+
+EventId EventScheduler::commit(SimTime t, std::uint32_t slot, Thunk invoke,
+                               Thunk destroy) {
+  free_.pop_back();
+  Slot& s = slots_[slot];
+  s.invoke = invoke;
+  s.destroy = destroy;
+  s.tag = current_tag_;
+  heap_.push_back(Key{std::max(t, now_), seq_++, slot, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++live_;
+  // The low word is slot + 1, so no live event's id is 0.
+  return (static_cast<EventId>(s.gen) << 32) | (static_cast<EventId>(slot) + 1);
+}
+
+void EventScheduler::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  const Thunk destroy = s.destroy;
+  s.invoke = s.destroy = nullptr;
+  // The slot rejoins the free list only after the captures are gone, so a
+  // destructor that schedules cannot be handed this buffer.
+  destroy(s.buf);
+  free_.push_back(slot);
 }
 
 void EventScheduler::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return;
-  if (cancelled_.insert(id).second && live_ > 0) --live_;
+  const auto low = static_cast<std::uint32_t>(id);
+  if (low == 0 || low > slots_.size()) return;
+  Slot& s = slots_[low - 1];
+  if (s.invoke == nullptr || s.gen != static_cast<std::uint32_t>(id >> 32)) return;
+  ++s.gen;  // the heap key goes stale; prune() drops it when it surfaces
+  --live_;
+  release(low - 1);
 }
 
 void EventScheduler::prune() {
-  while (!queue_.empty()) {
-    const auto it = cancelled_.find(queue_.top().id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    queue_.pop();
+  while (!heap_.empty() && slots_[heap_.front().slot].gen != heap_.front().gen) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
   }
 }
 
 bool EventScheduler::pop_one() {
   prune();
-  if (queue_.empty()) return false;
-  // const_cast to move the callback out; the element is popped immediately.
-  Ev ev = std::move(const_cast<Ev&>(queue_.top()));
-  queue_.pop();
-  now_ = ev.t;
-  if (live_ > 0) --live_;
+  if (heap_.empty()) return false;
+  const Key k = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  Slot& s = slots_[k.slot];
+  // Stale from here on, so cancel() from inside the callback is a no-op.
+  // The slot stays off the free list until the callback returns: nothing it
+  // schedules can overwrite the running closure, and deque growth never
+  // moves it.
+  ++s.gen;
+  now_ = k.t;
+  --live_;
   ++executed_;
   // Restore the event's phase as ambient so anything it schedules inherits
   // the causality chain's attribution.
-  current_tag_ = ev.tag;
-  ++executed_by_tag_[ev.tag];
-  if (wall_profiling_) {
-    const auto t0 = std::chrono::steady_clock::now();
-    ev.fn();
-    wall_ns_by_tag_[ev.tag] += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  } else {
-    ev.fn();
+  const PhaseTag tag = s.tag;
+  current_tag_ = tag;
+  ++executed_by_tag_[tag];
+  try {
+    if (wall_profiling_) {
+      const auto t0 = std::chrono::steady_clock::now();
+      s.invoke(s.buf);
+      wall_ns_by_tag_[tag] += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
+    } else {
+      s.invoke(s.buf);
+    }
+  } catch (...) {
+    release(k.slot);
+    throw;
   }
+  release(k.slot);
   return true;
 }
 
@@ -65,7 +125,7 @@ std::size_t EventScheduler::run(std::size_t limit) {
 std::size_t EventScheduler::run_until(SimTime t) {
   std::size_t n = 0;
   prune();
-  while (!queue_.empty() && queue_.top().t <= t) {
+  while (!heap_.empty() && heap_.front().t <= t) {
     if (!pop_one()) break;
     ++n;
     prune();

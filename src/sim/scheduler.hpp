@@ -1,14 +1,30 @@
 // Discrete-event scheduler: the single source of time for the simulation.
 //
-// Events are (time, sequence, callback) triples in a min-heap. Equal-time
-// events fire in insertion order, which makes every run deterministic.
+// Events are (time, sequence, callback) triples. Equal-time events fire in
+// insertion order, which makes every run deterministic.
+//
+// Storage is allocation-free in steady state:
+// - Callbacks live in a pool of slots that never move (a deque grown at the
+//   back, recycled through a free list). Each slot has an inline buffer that
+//   holds the callable itself plus its type-erased invoke/destroy pointers;
+//   only a callable larger than the buffer goes on the heap.
+// - The priority queue is a binary min-heap of 24-byte POD keys
+//   {t, seq, slot, gen}, ordered by (t, seq).
+// - An EventId encodes (gen, slot). Every release of a slot (fire or cancel)
+//   bumps its generation, so cancel() is a generation check: a stale id —
+//   already fired, already cancelled, or bogus — is a no-op, and a heap key
+//   whose generation no longer matches its slot is skipped when it surfaces.
+//   Cancelling destroys the callback's captures at once.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_set>
+#include <deque>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/simtime.hpp"
@@ -18,7 +34,7 @@ namespace malnet::sim {
 using util::Duration;
 using util::SimTime;
 
-/// Token used to cancel a scheduled event.
+/// Token used to cancel a scheduled event; 0 never names an event.
 using EventId = std::uint64_t;
 
 /// Phase attribution tag (see obs/profile.hpp for the pipeline's mapping).
@@ -30,22 +46,41 @@ inline constexpr std::size_t kMaxPhaseTags = 8;
 
 class EventScheduler {
  public:
+  /// Capacity of a slot's inline callable buffer. It must hold the hot
+  /// closures (a packet delivery and a TCP connect timeout); their call
+  /// sites static_assert `stores_inline`.
+  static constexpr std::size_t kInlineBytes = 80;
+
+  /// True if a callable of type F is stored without a heap allocation.
+  template <typename F>
+  static constexpr bool stores_inline =
+      sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::max_align_t);
+
   EventScheduler() = default;
+  ~EventScheduler();
   EventScheduler(const EventScheduler&) = delete;
   EventScheduler& operator=(const EventScheduler&) = delete;
 
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `t` (clamped to now if in the past).
-  EventId at(SimTime t, std::function<void()> fn);
+  /// Schedules `fn` (any void() callable, moved or copied into the slot) at
+  /// absolute time `t`, clamped to now if in the past.
+  template <typename F>
+  EventId at(SimTime t, F&& fn);
   /// Schedules `fn` after `d` from now.
-  EventId after(Duration d, std::function<void()> fn);
+  template <typename F>
+  EventId after(Duration d, F&& fn) {
+    return at(now_ + d, std::forward<F>(fn));
+  }
 
-  /// Cancels a pending event. No-op if already fired or cancelled.
+  /// Cancels a pending event and destroys its callback. No-op if the event
+  /// already fired (including from inside its own callback), was already
+  /// cancelled, or `id` is 0 or bogus.
   void cancel(EventId id);
 
   /// Runs events until the queue is empty or `limit` events fired.
-  /// Returns the number of events executed.
+  /// Returns the number of events executed. An exception thrown by a
+  /// callback propagates; the scheduler stays usable.
   std::size_t run(std::size_t limit = SIZE_MAX);
 
   /// Runs all events with time <= t, then advances the clock to exactly t.
@@ -74,25 +109,42 @@ class EventScheduler {
   }
 
  private:
-  struct Ev {
-    SimTime t;
-    std::uint64_t seq;
-    EventId id;
-    std::function<void()> fn;
-    PhaseTag tag;
-    bool operator>(const Ev& o) const {
-      return t != o.t ? t > o.t : seq > o.seq;
-    }
+  using Thunk = void (*)(void*);
+
+  struct Slot {
+    alignas(std::max_align_t) unsigned char buf[kInlineBytes];
+    Thunk invoke = nullptr;  // null while the slot is free
+    Thunk destroy = nullptr;
+    std::uint32_t gen = 0;   // bumped on every release
+    PhaseTag tag = 0;
   };
 
-  void prune();    // drops cancelled events from the head of the queue
+  struct Key {
+    SimTime t;
+    std::uint64_t seq;
+    std::uint32_t slot;
+    std::uint32_t gen;
+  };
+  static_assert(sizeof(Key) == 24);
+
+  /// Heap-held stand-in for a callable too large for the inline buffer.
+  template <typename Fn>
+  struct Boxed {
+    std::unique_ptr<Fn> fn;
+    void operator()() { (*fn)(); }
+  };
+
+  std::uint32_t free_slot();  // a free slot index; stays on the free list
+  EventId commit(SimTime t, std::uint32_t slot, Thunk invoke, Thunk destroy);
+  void release(std::uint32_t slot);  // destroys the callback, frees the slot
+  void prune();    // drops stale keys from the head of the heap
   bool pop_one();  // fires the earliest event; false if queue empty
 
-  std::priority_queue<Ev, std::vector<Ev>, std::greater<>> queue_;
-  std::unordered_set<EventId> cancelled_;  // tombstones
+  std::deque<Slot> slots_;  // never shrinks; elements never move
+  std::vector<std::uint32_t> free_;
+  std::vector<Key> heap_;
   SimTime now_{0};
   std::uint64_t seq_ = 0;
-  EventId next_id_ = 1;
   std::size_t live_ = 0;
   std::uint64_t executed_ = 0;
   PhaseTag current_tag_ = 0;
@@ -100,6 +152,21 @@ class EventScheduler {
   std::array<std::uint64_t, kMaxPhaseTags> executed_by_tag_{};
   std::array<std::uint64_t, kMaxPhaseTags> wall_ns_by_tag_{};
 };
+
+template <typename F>
+EventId EventScheduler::at(SimTime t, F&& fn) {
+  using Fn = std::decay_t<F>;
+  if constexpr (!stores_inline<Fn>) {
+    return at(t, Boxed<Fn>{std::make_unique<Fn>(std::forward<F>(fn))});
+  } else {
+    const std::uint32_t slot = free_slot();
+    // The slot leaves the free list in commit(), after construction, so a
+    // throwing copy or move leaves the pool intact.
+    ::new (static_cast<void*>(slots_[slot].buf)) Fn(std::forward<F>(fn));
+    return commit(t, slot, [](void* p) { (*static_cast<Fn*>(p))(); },
+                  [](void* p) { static_cast<Fn*>(p)->~Fn(); });
+  }
+}
 
 /// RAII ambient-tag switch: events scheduled inside the scope (and their
 /// whole downstream chains) are attributed to `tag`.

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "net/packet.hpp"
+#include "sim/scheduler.hpp"
 #include "util/bytes.hpp"
 #include "util/simtime.hpp"
 
@@ -32,6 +33,9 @@ enum class ConnectOutcome {
 };
 
 [[nodiscard]] std::string to_string(ConnectOutcome o);
+
+class TcpConn;
+using ConnectHandler = std::function<void(ConnectOutcome, TcpConn*)>;
 
 /// One TCP connection endpoint. Owned by its Host; user code holds a
 /// non-owning pointer which stays valid until shortly after on_close fires.
@@ -96,6 +100,11 @@ class TcpConn {
   util::SimTime opened_at_;
   DataHandler on_data_;
   CloseHandler on_close_;
+  /// Pending active open (SYN_SENT): the handler that has not fired yet
+  /// and the timeout that fires it with kTimeout. Host resolves both through
+  /// its conns_ lookup; the handler is empty once the outcome is reported.
+  ConnectHandler on_connect_;
+  EventId connect_timeout_ = 0;
 };
 
 }  // namespace malnet::sim

@@ -114,6 +114,28 @@ TEST(DnsServer, RecordRemoval) {
   EXPECT_FALSE(got);
 }
 
+TEST(DnsServer, UnencodableQueryNameIsDroppedNotThrown) {
+  // A corrupted label byte that decodes to '.' yields a name with an empty
+  // label; the server must drop the query (client sees a timeout) rather
+  // than throw while re-encoding the name into its reply.
+  auto wire = encode(make_query(7, "api.ip-echo.net"));
+  wire[13] = 0x2e;  // first byte of the "api" label
+  const auto decoded = decode(wire);
+  ASSERT_TRUE(decoded);
+  ASSERT_EQ(decoded->questions.at(0).name, ".pi.ip-echo.net");
+  for (const bool servfail : {false, true}) {
+    DnsWorld w;
+    w.server.set_wildcard(net::Ipv4{10, 99, 7, 7});
+    if (servfail) w.server.set_query_fault_hook([] { return QueryFault::kServfail; });
+    int replies = 0;
+    w.client.udp_bind(5353, [&](const net::Packet&) { ++replies; });
+    w.client.udp_send({w.server.addr(), 53}, wire, 5353);
+    EXPECT_NO_THROW(w.sched.run()) << "servfail " << servfail;
+    EXPECT_EQ(replies, 0);
+    EXPECT_EQ(w.server.queries_served(), 1u);
+  }
+}
+
 TEST(Resolver, TimesOutAgainstDeadServer) {
   sim::EventScheduler sched;
   sim::Network net{sched};

@@ -509,3 +509,12 @@ TEST(ChaosSmoke, HostileStudyCompletesAndCounts) {
             0u);
   EXPECT_TRUE(results.metrics.counters.count("samples_degraded"));
 }
+
+TEST(ChaosSmoke, CorruptedDnsNameDegradesInsteadOfAborting) {
+  // Regression: hostile chaos can flip a query's label byte to '.', and the
+  // DNS server's reply encoder threw on the resulting empty label, escaping
+  // per-sample containment and aborting the shard. 406 samples over 3 shards
+  // (world seed 22, chaos seed 7) is the smallest study that reached it.
+  const auto base = small_config(22, Profile::kHostile, 406);
+  EXPECT_NO_THROW(run_sharded(base, 3, 3));
+}

@@ -1,8 +1,14 @@
 // sim: scheduler semantics, network delivery, host hooks, TCP machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <stdexcept>
+
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
+#include "util/rng.hpp"
 
 using namespace malnet;
 using namespace malnet::sim;
@@ -93,6 +99,166 @@ TEST(Scheduler, PastTimesClampToNow) {
   s.run();
   EXPECT_TRUE(fired);
   EXPECT_EQ(s.now(), SimTime{} + Duration::seconds(10));
+}
+
+TEST(Scheduler, CancelAfterFireIsNoOp) {
+  // Regression: cancelling a fired event used to leave a permanent tombstone
+  // and uncount a still-pending event.
+  EventScheduler s;
+  const auto a = s.after(Duration::seconds(1), [] {});
+  EXPECT_EQ(s.run(), 1u);
+  bool b_fired = false;
+  s.after(Duration::seconds(1), [&] { b_fired = true; });
+  s.cancel(a);
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_TRUE(b_fired);
+}
+
+TEST(Scheduler, RandomScheduleAndCancelMatchesReferenceOrder) {
+  // Slot reuse and stale heap keys must not perturb (time, insertion) order.
+  EventScheduler s;
+  util::Rng rng(7);
+  std::vector<std::pair<std::int64_t, int>> expected;  // (time, tag)
+  std::vector<std::pair<EventId, int>> live;           // (id, tag)
+  std::vector<bool> cancelled(2000);
+  std::vector<int> fired;
+  for (int i = 0; i < 2000; ++i) {
+    if (!live.empty() && rng.chance(0.3)) {
+      const auto pick = rng.uniform(0, live.size() - 1);
+      s.cancel(live[pick].first);
+      cancelled[static_cast<std::size_t>(live[pick].second)] = true;
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      continue;
+    }
+    const auto t = static_cast<std::int64_t>(rng.uniform(0, 50));
+    const auto id = s.at(SimTime{t}, [&fired, i] { fired.push_back(i); });
+    live.emplace_back(id, i);
+    expected.emplace_back(t, i);
+  }
+  std::vector<int> want;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
+  for (const auto& [t, i] : expected) {
+    if (!cancelled[static_cast<std::size_t>(i)]) want.push_back(i);
+  }
+  EXPECT_EQ(s.pending(), want.size());
+  EXPECT_EQ(s.run(), want.size());
+  EXPECT_EQ(fired, want);
+}
+
+// --- scheduler: callback lifetime ---------------------------------------------
+
+namespace {
+
+/// Counts live copies of itself, so a test can see every construction
+/// matched by exactly one destruction. `Pad` pushes it past the inline
+/// buffer to exercise the heap-stored path.
+template <std::size_t Pad>
+struct Counted {
+  explicit Counted(int& live) : live_(&live) { ++*live_; }
+  Counted(const Counted& o) : live_(o.live_) { ++*live_; }
+  Counted(Counted&& o) noexcept : live_(o.live_) { ++*live_; }
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { --*live_; }
+  void operator()() const {}
+  int* live_;
+  std::array<char, Pad> pad_{};
+};
+
+template <typename F>
+void expect_destroyed_once_per_path() {
+  {  // fired
+    int live = 0;
+    EventScheduler s;
+    s.after(Duration::seconds(1), F(live));
+    EXPECT_EQ(live, 1);
+    s.run();
+    EXPECT_EQ(live, 0);
+  }
+  {  // cancelled: captures go at cancel time, not when the key surfaces
+    int live = 0;
+    EventScheduler s;
+    const auto id = s.after(Duration::seconds(1), F(live));
+    s.cancel(id);
+    EXPECT_EQ(live, 0);
+    s.cancel(id);
+    s.run();
+    EXPECT_EQ(live, 0);
+  }
+  {  // still pending when the scheduler dies
+    int live = 0;
+    {
+      EventScheduler s;
+      s.after(Duration::seconds(1), F(live));
+      s.after(Duration::seconds(2), F(live));
+      EXPECT_EQ(live, 2);
+    }
+    EXPECT_EQ(live, 0);
+  }
+}
+
+}  // namespace
+
+TEST(Scheduler, InlineCallbackDestroyedExactlyOnce) {
+  static_assert(EventScheduler::stores_inline<Counted<8>>);
+  expect_destroyed_once_per_path<Counted<8>>();
+}
+
+TEST(Scheduler, OversizedCallbackDestroyedExactlyOnce) {
+  static_assert(!EventScheduler::stores_inline<Counted<256>>);
+  expect_destroyed_once_per_path<Counted<256>>();
+}
+
+TEST(Scheduler, MoveOnlyAndOversizedCapturesRun) {
+  EventScheduler s;
+  int got = 0;
+  s.after(Duration::seconds(1),
+          [p = std::make_unique<int>(7), &got] { got += *p; });
+  std::array<std::uint64_t, 32> big{};
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = i;
+  auto sum_big = [big, &got] {
+    for (const auto v : big) got += static_cast<int>(v);
+  };
+  static_assert(!EventScheduler::stores_inline<decltype(sum_big)>);
+  s.after(Duration::seconds(2), sum_big);
+  std::function<void()> wrapped = [&got] { got += 1000; };
+  s.after(Duration::seconds(3), wrapped);
+  s.run();
+  EXPECT_EQ(got, 7 + 31 * 32 / 2 + 1000);
+}
+
+TEST(Scheduler, SelfCancelInsideCallbackIsNoOp) {
+  EventScheduler s;
+  EventId self = 0;
+  std::string seen;
+  int later = 0;
+  self = s.after(Duration::seconds(1), [&, capture = std::string("alive")] {
+    s.cancel(self);
+    EXPECT_EQ(s.pending(), 1u);
+    seen = capture;  // the running closure survives its own cancel
+  });
+  s.after(Duration::seconds(2), [&] { ++later; });
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(seen, "alive");
+  EXPECT_EQ(later, 1);
+}
+
+TEST(Scheduler, ThrowingCallbackLeavesSchedulerUsable) {
+  EventScheduler s;
+  int live = 0;
+  bool next_fired = false;
+  s.after(Duration::seconds(1), [c = Counted<8>(live)] {
+    c();
+    throw std::runtime_error("sample failed");
+  });
+  s.after(Duration::seconds(2), [&] { next_fired = true; });
+  EXPECT_THROW(s.run(), std::runtime_error);
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_TRUE(next_fired);
 }
 
 // --- network -----------------------------------------------------------------
@@ -282,6 +448,51 @@ TEST(Tcp, TimeoutOnDarkAddress) {
   w.sched.run();
   EXPECT_EQ(outcome, ConnectOutcome::kTimeout);
   EXPECT_EQ(client.open_connections(), 0u);
+}
+
+TEST(Tcp, ConnectOutcomeFiresExactlyOnce) {
+  TestWorld w;
+  Host server(w.net, net::Ipv4{10, 0, 0, 1});
+  Host client(w.net, net::Ipv4{10, 0, 0, 2});
+  Host aborter(w.net, net::Ipv4{10, 0, 0, 3});
+  server.tcp_listen(80, [](TcpConn&) {});
+  using Calls = std::vector<std::pair<ConnectOutcome, SimTime>>;
+  const auto record = [&w](Calls& calls) {
+    return [&w, &calls](ConnectOutcome o, TcpConn*) {
+      calls.emplace_back(o, w.sched.now());
+    };
+  };
+  const SimTime deadline = SimTime{} + Duration::seconds(2);
+  Calls connected, refused, dark, aborted, aborted_slow;
+  client.tcp_connect({server.addr(), 80}, record(connected), Duration::seconds(2));
+  client.tcp_connect({server.addr(), 81}, record(refused), Duration::seconds(2));
+  client.tcp_connect({net::Ipv4{66, 0, 0, 1}, 80}, record(dark), Duration::seconds(2));
+  // Aborted in SYN_SENT: the late SYN-ACK must not report kConnected, and
+  // the outcome is still the timeout, at the timeout.
+  aborter.tcp_connect({server.addr(), 80}, record(aborted), Duration::seconds(2));
+  // A timeout beyond the 60 s reaping of closed connections still reports.
+  aborter.tcp_connect({server.addr(), 80}, record(aborted_slow),
+                      Duration::seconds(90));
+  aborter.abort_all_connections();
+  w.sched.run();  // past every timeout and deferred connection erase
+
+  ASSERT_EQ(connected.size(), 1u);
+  EXPECT_EQ(connected[0].first, ConnectOutcome::kConnected);
+  EXPECT_LT(connected[0].second, deadline);
+  ASSERT_EQ(refused.size(), 1u);
+  EXPECT_EQ(refused[0].first, ConnectOutcome::kRefused);
+  EXPECT_LT(refused[0].second, deadline);
+  ASSERT_EQ(dark.size(), 1u);
+  EXPECT_EQ(dark[0], std::make_pair(ConnectOutcome::kTimeout, deadline));
+  ASSERT_EQ(aborted.size(), 1u);
+  EXPECT_EQ(aborted[0], std::make_pair(ConnectOutcome::kTimeout, deadline));
+  ASSERT_EQ(aborted_slow.size(), 1u);
+  EXPECT_EQ(aborted_slow[0], std::make_pair(ConnectOutcome::kTimeout,
+                                            SimTime{} + Duration::seconds(90)));
+  // The connected session outlived its cancelled timeout; the refused one
+  // was reaped after close, the dark and aborted ones at their timeouts.
+  EXPECT_EQ(client.open_connections(), 1u);
+  EXPECT_EQ(aborter.open_connections(), 0u);
 }
 
 TEST(Tcp, CloseNotifiesPeer) {
