@@ -1,11 +1,13 @@
 // google-benchmark microbenchmarks for the substrate hot paths: the event
 // scheduler, packet wire serialization, protocol codecs and the RNG.
+// Links malnet_alloc_count, so heap allocations can be counted per item.
 #include <benchmark/benchmark.h>
 
 #include "net/packet.hpp"
 #include "profile/wire.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
+#include "testkit/alloc_count.hpp"
 #include "util/rng.hpp"
 
 using namespace malnet;
@@ -47,6 +49,40 @@ static void BM_DarkConnectTimeout(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_DarkConnectTimeout)->Arg(1000)->Arg(10000);
+
+static void BM_DarkProbeSweep(benchmark::State& state) {
+  // The D-PC2 scout's cadence: 13 connects into dark space every 100 ms,
+  // each with a 2 s timeout, so about 260 are pending at once. One
+  // iteration is one batch plus 100 ms of simulated time. After a warm-up
+  // past the first timeouts, a probe should not touch the heap.
+  constexpr int kBatch = 13;
+  sim::EventScheduler sched;
+  sim::Network net(sched);
+  sim::Host scout(net, net::Ipv4{192, 0, 2, 9});
+  std::uint32_t next_dark = 0x42000000u;
+  std::int64_t timeouts = 0;
+  const auto sweep = [&] {
+    for (int i = 0; i < kBatch; ++i) {
+      scout.tcp_connect(
+          {net::Ipv4{next_dark++}, 23},
+          [&timeouts](sim::ConnectOutcome o, sim::TcpConn*) {
+            timeouts += o == sim::ConnectOutcome::kTimeout ? 1 : 0;
+          },
+          sim::Duration::seconds(2));
+    }
+    sched.run_until(sched.now() + sim::Duration::millis(100));
+  };
+  for (int i = 0; i < 40; ++i) sweep();
+  const auto allocations = testkit::allocations();
+  for (auto _ : state) sweep();
+  const auto probes = state.iterations() * kBatch;
+  state.counters["allocs_per_probe"] =
+      static_cast<double>(testkit::allocations() - allocations) /
+      static_cast<double>(probes);
+  state.SetItemsProcessed(probes);
+  benchmark::DoNotOptimize(timeouts);
+}
+BENCHMARK(BM_DarkProbeSweep);
 
 static void BM_PacketWireRoundTrip(benchmark::State& state) {
   net::Packet p;
@@ -117,5 +153,15 @@ static void BM_RngZipf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngZipf)->Arg(64)->Arg(1024);
+
+static void BM_RngZipfTable(benchmark::State& state) {
+  // The draw World's planner makes: weights cached once per (n, s).
+  util::Rng rng(1);
+  const util::ZipfTable table(static_cast<std::uint64_t>(state.range(0)), 0.85);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.zipf(table));
+  }
+}
+BENCHMARK(BM_RngZipfTable)->Arg(64)->Arg(1024);
 
 BENCHMARK_MAIN();

@@ -37,6 +37,25 @@ const std::vector<int>& weekly_sample_volume() {
   return kVolume;
 }
 
+int sample_capacity() {
+  static const int kCapacity = [] {
+    int sum = 0;
+    for (const int v : weekly_sample_volume()) sum += v;
+    return sum;
+  }();
+  return kCapacity;
+}
+
+void check_total_samples(int total_samples) {
+  if (total_samples <= 0) throw std::invalid_argument("World: no samples");
+  if (total_samples > sample_capacity()) {
+    throw std::invalid_argument(
+        "World: total_samples " + std::to_string(total_samples) +
+        " exceeds the Appendix-E weekly calendar's capacity of " +
+        std::to_string(sample_capacity()) + " samples");
+  }
+}
+
 namespace {
 
 const std::vector<net::Port>& c2_port_pool() {
@@ -71,7 +90,7 @@ World::World(sim::Network& net, WorldConfig cfg)
       registry_(cfg.profiles != nullptr ? cfg.profiles
                                         : &profile::Registry::builtin()),
       asdb_(asdb::AsDatabase::standard()) {
-  if (cfg_.total_samples <= 0) throw std::invalid_argument("World: no samples");
+  check_total_samples(cfg_.total_samples);
   if (cfg_.family_weights.size() != proto::kFamilyCount) {
     throw std::invalid_argument("World: family_weights size mismatch");
   }
@@ -425,6 +444,13 @@ void World::plan_samples(util::Rng& rng) {
       return c2s_[a].lifetime_days > c2s_[b].lifetime_days;
     });
   }
+  // Zipf ranks over a cohort: one weight table per cohort size, built on
+  // first use (draws are bit-identical to Rng::zipf(n, s)).
+  std::map<std::uint64_t, util::ZipfTable> zipf_tables;
+  const auto zipf_rank = [&](std::size_t n) {
+    const auto it = zipf_tables.try_emplace(n, n, cfg_.zipf_share_exponent).first;
+    return rng.zipf(it->second);
+  };
   // Dedicated-C2 cursor: round-robin from the cohort tail (the short-lived
   // majority), so singleton servers skew short-lived as in Figure 2.
   std::vector<std::size_t> next_unused_in_cohort(weeks.size());
@@ -516,7 +542,7 @@ void World::plan_samples(util::Rng& rng) {
           } else {
             // Shared infrastructure: Zipf over the cohort (longest-lived
             // campaigns first).
-            const auto rank = rng.zipf(cohort.size(), cfg_.zipf_share_exponent);
+            const auto rank = zipf_rank(cohort.size());
             c2_idx = cohort[static_cast<std::size_t>(rank - 1)];
           }
         }
@@ -547,7 +573,7 @@ void World::plan_samples(util::Rng& rng) {
         if (rng.chance(cfg_.fallback_ref_prob) && !c2_by_week[w].empty()) {
           // Fallback must speak the same dialect: same profile, IP-only.
           for (int attempt = 0; attempt < 16 && fallback == nullptr; ++attempt) {
-            const auto rank = rng.zipf(c2_by_week[w].size(), cfg_.zipf_share_exponent);
+            const auto rank = zipf_rank(c2_by_week[w].size());
             const auto* cand = &c2s_[c2_by_week[w][static_cast<std::size_t>(rank - 1)]];
             if (cand != primary && !cand->cfg.domain &&
                 cand->cfg.profile == primary->cfg.profile) {
@@ -563,7 +589,7 @@ void World::plan_samples(util::Rng& rng) {
         if (want_extra > 0 && !c2_by_week[w].empty()) {
           for (int e = 0; e < want_extra; ++e) {
             for (int attempt = 0; attempt < 16; ++attempt) {
-              const auto rank = rng.zipf(c2_by_week[w].size(), cfg_.zipf_share_exponent);
+              const auto rank = zipf_rank(c2_by_week[w].size());
               const auto* cand = &c2s_[c2_by_week[w][static_cast<std::size_t>(rank - 1)]];
               if (cand == primary || cand == fallback || cand->cfg.domain ||
                   cand->cfg.profile != primary->cfg.profile) {

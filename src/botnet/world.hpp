@@ -67,6 +67,7 @@ struct PlannedC2 {
 
 struct WorldConfig {
   std::uint64_t seed = 22;
+  /// At most sample_capacity(): World rejects a larger count.
   int total_samples = 1447;
 
   // Family mix (weights; normalised internally). Order matches proto::Family.
@@ -143,6 +144,11 @@ struct WorldConfig {
 [[nodiscard]] const std::vector<std::int64_t>& active_week_start_days();
 /// Per-active-week sample volume (sums to 1447; peak at study week 28).
 [[nodiscard]] const std::vector<int>& weekly_sample_volume();
+/// The most samples a study can plan: the sum of weekly_sample_volume().
+[[nodiscard]] int sample_capacity();
+/// Throws std::invalid_argument, naming the capacity, unless
+/// 0 < total_samples <= sample_capacity().
+void check_total_samples(int total_samples);
 
 class World {
  public:

@@ -87,113 +87,119 @@ void ProbeCampaign::run_round(int round) {
     done_(std::move(result_));
     return;
   }
-  auto state = std::make_shared<Round>();
-  state->round = round;
-  state->start_sim_us = net_.now().us;
+  round_ = std::make_unique<Round>();
+  round_->round = round;
+  round_->start_sim_us = net_.now().us;
   for (const auto& subnet : cfg_.subnets) {
     for (std::uint32_t h = 1; h + 1 < subnet.size(); ++h) {
       for (const auto port : cfg_.ports) {
-        state->queue.push_back({subnet.host(h), port});
+        round_->queue.push_back({subnet.host(h), port});
       }
     }
   }
-  scout_next(state);
+  scout_next();
 }
 
-void ProbeCampaign::scout_next(std::shared_ptr<Round> state) {
+void ProbeCampaign::scout_next() {
   // Issue one 100 ms batch of scout connects.
+  Round& r = *round_;
   const auto batch = static_cast<std::size_t>(cfg_.scout_rate_pps / 10.0) + 1;
-  for (std::size_t i = 0; i < batch && state->next < state->queue.size(); ++i) {
-    const net::Endpoint target = state->queue[state->next++];
+  for (std::size_t i = 0; i < batch && r.next < r.queue.size(); ++i) {
+    const net::Endpoint target = r.queue[r.next++];
     ++result_.scout_probes;
-    ++state->outstanding;
+    ++r.outstanding;
+    // Capturing only `this` keeps the handler inside std::function's
+    // inline buffer: a dark probe, nearly every probe, allocates nothing.
     scout_->tcp_connect(
         target,
-        [this, state, target](sim::ConnectOutcome outcome, sim::TcpConn* conn) {
-          if (outcome != sim::ConnectOutcome::kConnected || conn == nullptr) {
-            --state->outstanding;
-            if (state->scouting_done && state->outstanding == 0) {
-              engage_candidates(state);
-            }
-            return;
-          }
-          // Listener found: wait briefly for a service banner.
-          auto banner = std::make_shared<std::string>();
-          conn->on_data([banner](sim::TcpConn&, util::BytesView data) {
-            banner->append(reinterpret_cast<const char*>(data.data()), data.size());
-          });
-          sim::TcpConn* conn_ptr = conn;
-          scout_->schedule_safe(cfg_.banner_wait, [this, state, target, banner,
-                                                   conn_ptr]() {
-            if (conn_ptr->established()) conn_ptr->close();
-            if (!banner->empty() && inetsim::is_well_known_banner(*banner)) {
-              ++result_.banner_filtered;
-            } else {
-              state->candidates.push_back(target);
-            }
-            --state->outstanding;
-            if (state->scouting_done && state->outstanding == 0) {
-              engage_candidates(state);
-            }
-          });
+        [this](sim::ConnectOutcome outcome, sim::TcpConn* conn) {
+          on_scout_outcome(outcome, conn);
         },
         sim::Duration::seconds(2));
   }
-  if (state->next < state->queue.size()) {
-    scout_->schedule_safe(sim::Duration::millis(100),
-                          [this, state]() { scout_next(state); });
+  if (r.next < r.queue.size()) {
+    scout_->schedule_safe(sim::Duration::millis(100), [this]() { scout_next(); });
   } else {
-    state->scouting_done = true;
-    if (state->outstanding == 0) engage_candidates(state);
+    r.scouting_done = true;
+    if (r.outstanding == 0) engage_candidates();
   }
 }
 
-void ProbeCampaign::engage_candidates(std::shared_ptr<Round> state) {
-  if (state->next_candidate >= state->candidates.size()) {
-    finish_round(state);
+void ProbeCampaign::on_scout_outcome(sim::ConnectOutcome outcome, sim::TcpConn* conn) {
+  if (outcome != sim::ConnectOutcome::kConnected || conn == nullptr) {
+    scout_settled();
     return;
   }
-  const net::Endpoint target = state->candidates[state->next_candidate];
-  if (state->weapon_idx >= weapons_.size()) {
-    // No weapon engaged this target; move on.
-    state->weapon_idx = 0;
-    ++state->next_candidate;
-    engage_candidates(state);
-    return;
-  }
-  const Weapon& weapon = weapons_[state->weapon_idx];
-  ++result_.weapon_runs;
-  probe_liveness(sandbox_, weapon, target, [this, state, target](LivenessResult res) {
-    if (res.engaged) {
-      state->responsive.insert(target);
-      state->weapon_idx = 0;
-      ++state->next_candidate;
+  // Listener found: wait briefly for a service banner.
+  auto banner = std::make_shared<std::string>();
+  conn->on_data([banner](sim::TcpConn&, util::BytesView data) {
+    banner->append(reinterpret_cast<const char*>(data.data()), data.size());
+  });
+  scout_->schedule_safe(cfg_.banner_wait, [this, banner, conn]() {
+    if (conn->established()) conn->close();
+    if (!banner->empty() && inetsim::is_well_known_banner(*banner)) {
+      ++result_.banner_filtered;
     } else {
-      ++state->weapon_idx;
+      round_->candidates.push_back(conn->remote());
     }
-    engage_candidates(state);
+    scout_settled();
   });
 }
 
-void ProbeCampaign::finish_round(std::shared_ptr<Round> state) {
+void ProbeCampaign::scout_settled() {
+  --round_->outstanding;
+  if (round_->scouting_done && round_->outstanding == 0) engage_candidates();
+}
+
+void ProbeCampaign::engage_candidates() {
+  Round& r = *round_;
+  if (r.next_candidate >= r.candidates.size()) {
+    finish_round();
+    return;
+  }
+  const net::Endpoint target = r.candidates[r.next_candidate];
+  if (r.weapon_idx >= weapons_.size()) {
+    // No weapon engaged this target; move on.
+    r.weapon_idx = 0;
+    ++r.next_candidate;
+    engage_candidates();
+    return;
+  }
+  const Weapon& weapon = weapons_[r.weapon_idx];
+  ++result_.weapon_runs;
+  probe_liveness(sandbox_, weapon, target, [this, target](LivenessResult res) {
+    Round& cur = *round_;
+    if (res.engaged) {
+      cur.responsive.insert(target);
+      cur.weapon_idx = 0;
+      ++cur.next_candidate;
+    } else {
+      ++cur.weapon_idx;
+    }
+    engage_candidates();
+  });
+}
+
+void ProbeCampaign::finish_round() {
+  const Round& r = *round_;
   // Record this round's outcome for every target we have ever seen listen.
-  for (const auto& ep : state->candidates) {
+  for (const auto& ep : r.candidates) {
     full_raster_.try_emplace(ep, std::vector<bool>(static_cast<std::size_t>(cfg_.rounds)));
   }
   for (auto& [ep, bits] : full_raster_) {
-    bits[static_cast<std::size_t>(state->round)] = state->responsive.count(ep) > 0;
+    bits[static_cast<std::size_t>(r.round)] = r.responsive.count(ep) > 0;
   }
   if (cfg_.obs != nullptr) {
     cfg_.obs->registry.counter("campaign.rounds").inc();
     if (cfg_.obs->tracer.enabled()) {
-      std::string args = "\"round\":" + std::to_string(state->round) +
-                         ",\"candidates\":" + std::to_string(state->candidates.size()) +
-                         ",\"responsive\":" + std::to_string(state->responsive.size());
-      cfg_.obs->tracer.complete("campaign:round " + std::to_string(state->round),
-                                "campaign", state->start_sim_us, args);
+      std::string args = "\"round\":" + std::to_string(r.round) +
+                         ",\"candidates\":" + std::to_string(r.candidates.size()) +
+                         ",\"responsive\":" + std::to_string(r.responsive.size());
+      cfg_.obs->tracer.complete("campaign:round " + std::to_string(r.round),
+                                "campaign", r.start_sim_us, args);
     }
   }
-  const int next_round = state->round + 1;
+  const int next_round = r.round + 1;
   scout_->schedule_safe(cfg_.interval, [this, next_round]() { run_round(next_round); });
 }
 

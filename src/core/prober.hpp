@@ -88,9 +88,11 @@ class ProbeCampaign {
   struct Round;
 
   void run_round(int round);
-  void scout_next(std::shared_ptr<Round> state);
-  void engage_candidates(std::shared_ptr<Round> state);
-  void finish_round(std::shared_ptr<Round> state);
+  void scout_next();
+  void on_scout_outcome(sim::ConnectOutcome outcome, sim::TcpConn* conn);
+  void scout_settled();  // one scout probe's verdict is in
+  void engage_candidates();
+  void finish_round();
 
   sim::Network& net_;
   emu::Sandbox& sandbox_;
@@ -98,6 +100,9 @@ class ProbeCampaign {
   std::vector<Weapon> weapons_;
   std::function<void(ProbeCampaignResult)> done_;
   std::unique_ptr<sim::Host> scout_;
+  // The round in progress. Rounds never overlap: the next one starts an
+  // interval after this one's last engagement.
+  std::unique_ptr<Round> round_;
   ProbeCampaignResult result_;
   std::map<net::Endpoint, std::vector<bool>> full_raster_;  // all candidates
 };

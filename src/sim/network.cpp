@@ -1,5 +1,6 @@
 #include "sim/network.hpp"
 
+#include <new>
 #include <stdexcept>
 #include <utility>
 
@@ -112,17 +113,37 @@ Host::Host(Network& net, net::Ipv4 addr, std::string name)
 
 Host::~Host() { net_.detach(*this); }
 
-net::Port Host::alloc_ephemeral_port() {
+Host::NodeRecycler::~NodeRecycler() {
+  while (free_ != nullptr) {
+    Free* next = free_->next;
+    ::operator delete(free_, bytes_, std::align_val_t{align_});
+    free_ = next;
+  }
+}
+
+void* Host::NodeRecycler::do_allocate(std::size_t bytes, std::size_t align) {
+  if (free_ == nullptr) return ::operator new(bytes, std::align_val_t{align});
+  Free* node = free_;
+  free_ = node->next;
+  return node;
+}
+
+void Host::NodeRecycler::do_deallocate(void* p, std::size_t bytes, std::size_t align) {
+  bytes_ = bytes;
+  align_ = align;
+  free_ = ::new (p) Free{free_};
+}
+
+net::Port Host::alloc_ephemeral_port() { return alloc_ephemeral_port_and_hint().first; }
+
+std::pair<net::Port, Host::ConnMap::iterator> Host::alloc_ephemeral_port_and_hint() {
   for (int attempts = 0; attempts < 16384; ++attempts) {
     const net::Port p = next_ephemeral_;
     next_ephemeral_ = (next_ephemeral_ >= 65535) ? 49152 : next_ephemeral_ + 1;
     // Skip ports with live connection state or bindings.
-    bool used = udp_handlers_.count(p) > 0 || tcp_listeners_.count(p) > 0;
-    if (!used) {
-      const auto lo = conns_.lower_bound({p, net::Endpoint{}});
-      used = lo != conns_.end() && lo->first.first == p;
-    }
-    if (!used) return p;
+    if (udp_handlers_.count(p) > 0 || tcp_listeners_.count(p) > 0) continue;
+    const auto lo = conns_.lower_bound({p, net::Endpoint{}});
+    if (lo == conns_.end() || lo->first.first != p) return {p, lo};
   }
   throw std::runtime_error("Host: ephemeral port space exhausted");
 }
@@ -152,34 +173,33 @@ bool Host::tcp_listening(net::Port port) const { return tcp_listeners_.count(por
 
 void Host::tcp_connect(net::Endpoint remote, ConnectHandler cb, Duration timeout) {
   if (!cb) throw std::invalid_argument("tcp_connect: null handler");
-  const net::Port local_port = alloc_ephemeral_port();
-  const ConnKey key{local_port, remote};
+  const auto [local_port, hint] = alloc_ephemeral_port_and_hint();
   const std::uint32_t iss = net_.rng()();
-  auto conn = std::unique_ptr<TcpConn>(
-      new TcpConn(*this, {addr_, local_port}, remote, /*inbound=*/false, iss));
-  TcpConn* raw = conn.get();
-  conns_.emplace(key, std::move(conn));
+  // No key with this port exists, so (port, remote) sorts right before hint.
+  const auto it = emplace_conn(hint, {local_port, remote}, /*inbound=*/false, iss);
+  TcpConn& conn = it->second;
 
-  raw->on_connect_ = std::move(cb);
-  auto on_timeout = [this, key, w = std::weak_ptr<const bool>(lifetime_)]() {
-    if (w.expired()) return;
-    const auto it = conns_.find(key);
-    if (it == conns_.end() || !it->second->on_connect_) return;
-    const ConnectHandler handler = std::move(it->second->on_connect_);
+  conn.on_connect_ = std::move(cb);
+  // Only this timer erases a connection whose outcome is pending (the reaper
+  // skips it, and a SYN-ACK or RST cancels the timer), so the node outlives
+  // it unless the host itself is destroyed first.
+  auto on_timeout = [this, it, w = std::weak_ptr<const bool>(lifetime_)]() {
+    if (w.expired() || !it->second.on_connect_) return;
+    const ConnectHandler handler = std::move(it->second.on_connect_);
     conns_.erase(it);  // abandon the half-open connection silently
     handler(ConnectOutcome::kTimeout, nullptr);
   };
   static_assert(EventScheduler::stores_inline<decltype(on_timeout)>,
                 "connect timeout must not allocate a scheduler callback");
-  raw->connect_timeout_ = scheduler().after(timeout, std::move(on_timeout));
+  conn.connect_timeout_ = scheduler().after(timeout, std::move(on_timeout));
 
-  raw->emit(net::TcpFlags{.syn = true, .ack = false, .fin = false, .rst = false,
+  conn.emit(net::TcpFlags{.syn = true, .ack = false, .fin = false, .rst = false,
                           .psh = false});
 }
 
 void Host::close_all_connections() {
   for (auto& [key, conn] : conns_) {
-    if (conn->established()) conn->close();
+    if (conn.established()) conn.close();
   }
 }
 
@@ -187,13 +207,22 @@ void Host::abort_all_connections() {
   // reset() only schedules the map erase, so iterating while resetting is
   // safe.
   for (auto& [key, conn] : conns_) {
-    if (conn->state() != TcpConn::State::kClosed) conn->reset();
+    if (conn.state() != TcpConn::State::kClosed) conn.reset();
   }
+}
+
+Host::ConnMap::iterator Host::emplace_conn(ConnMap::const_iterator hint,
+                                           const ConnKey& key, bool inbound,
+                                           std::uint32_t iss) {
+  return conns_.emplace_hint(
+      hint, std::piecewise_construct, std::forward_as_tuple(key),
+      std::forward_as_tuple(TcpConn::Token{}, *this, net::Endpoint{addr_, key.first},
+                            key.second, inbound, iss));
 }
 
 TcpConn* Host::find_conn(const ConnKey& key) {
   const auto it = conns_.find(key);
-  return it == conns_.end() ? nullptr : it->second.get();
+  return it == conns_.end() ? nullptr : &it->second;
 }
 
 void Host::schedule_conn_erase(const ConnKey& key) {
@@ -201,8 +230,8 @@ void Host::schedule_conn_erase(const ConnKey& key) {
     const auto it = conns_.find(key);
     // A closed active open still awaiting its timeout stays: the timeout
     // reports its outcome and erases it.
-    if (it != conns_.end() && it->second->state() == TcpConn::State::kClosed &&
-        !it->second->on_connect_) {
+    if (it != conns_.end() && it->second.state() == TcpConn::State::kClosed &&
+        !it->second.on_connect_) {
       conns_.erase(it);
     }
   });
@@ -232,12 +261,10 @@ void Host::handle_tcp(const net::Packet& p) {
       }
       // Passive open.
       const std::uint32_t iss = net_.rng()();
-      auto nc = std::unique_ptr<TcpConn>(new TcpConn(
-          *this, {addr_, p.dst_port}, {p.src, p.src_port}, /*inbound=*/true, iss));
-      TcpConn* raw = nc.get();
-      conns_.emplace(key, std::move(nc));
-      raw->rcv_next_ = p.seq + 1;
-      raw->emit(net::TcpFlags{.syn = true, .ack = true, .fin = false, .rst = false,
+      TcpConn& nc =
+          emplace_conn(conns_.lower_bound(key), key, /*inbound=*/true, iss)->second;
+      nc.rcv_next_ = p.seq + 1;
+      nc.emit(net::TcpFlags{.syn = true, .ack = true, .fin = false, .rst = false,
                               .psh = false});
       return;
     }

@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -209,20 +210,56 @@ class Host {
   friend class TcpConn;
 
   using ConnKey = std::pair<net::Port, net::Endpoint>;  // (local port, remote)
+  using ConnMap = std::pmr::map<ConnKey, TcpConn>;
 
+  /// Free list of conns_ nodes: a freed node serves the next connect, so
+  /// steady-state connects do not allocate, and a host keeps at most its
+  /// peak number of nodes. Every block is one map node, so all share one
+  /// size and alignment.
+  class NodeRecycler final : public std::pmr::memory_resource {
+   public:
+    NodeRecycler() = default;
+    NodeRecycler(const NodeRecycler&) = delete;
+    NodeRecycler& operator=(const NodeRecycler&) = delete;
+    ~NodeRecycler() override;
+
+   private:
+    struct Free {
+      Free* next;
+    };
+    void* do_allocate(std::size_t bytes, std::size_t align) override;
+    void do_deallocate(void* p, std::size_t bytes, std::size_t align) override;
+    bool do_is_equal(const memory_resource& o) const noexcept override {
+      return this == &o;
+    }
+    Free* free_ = nullptr;
+    std::size_t bytes_ = 0;  // of the nodes on the free list
+    std::size_t align_ = 0;
+  };
+
+  /// alloc_ephemeral_port() plus the conns_ position before which the new
+  /// port's keys sort: tcp_connect's insert hint, so it walks the tree once.
+  std::pair<net::Port, ConnMap::iterator> alloc_ephemeral_port_and_hint();
   void send_out(net::Packet p);  // filter -> tap -> network
   void handle_tcp(const net::Packet& p);
   void schedule_conn_erase(const ConnKey& key);
+  /// Builds a connection in place in a new conns_ node; `hint` is where the
+  /// key sorts (see std::map::emplace_hint).
+  ConnMap::iterator emplace_conn(ConnMap::const_iterator hint, const ConnKey& key,
+                                 bool inbound, std::uint32_t iss);
   TcpConn* find_conn(const ConnKey& key);
 
   Network& net_;
   net::Ipv4 addr_;
   std::string name_;
   std::map<net::Port, AcceptHandler> tcp_listeners_;
-  // Every connection, including half-open active opens: a SYN_SENT TcpConn
-  // carries its own pending ConnectHandler and timeout EventId, so one
-  // lookup here resolves a connect's SYN-ACK, RST or timeout.
-  std::map<ConnKey, std::unique_ptr<TcpConn>> conns_;
+  // Declared before conns_, which returns its nodes here on destruction.
+  NodeRecycler conn_nodes_;
+  // Every connection, including half-open active opens, each stored inside
+  // its map node. A SYN_SENT TcpConn carries its own pending ConnectHandler
+  // and timeout EventId, so one lookup here resolves a connect's SYN-ACK or
+  // RST. The map is ordered: close_all/abort_all emit in key order.
+  ConnMap conns_{&conn_nodes_};
   std::map<net::Port, UdpHandler> udp_handlers_;
   IcmpHandler icmp_handler_;
   OutboundFilter filter_;

@@ -28,6 +28,30 @@ EventScheduler::~EventScheduler() {
   }
 }
 
+void EventScheduler::Lane::push(const Key& k) {
+  if (size == ring.size()) {
+    std::vector<Key> bigger(std::max<std::size_t>(16, ring.size() * 2));
+    for (std::size_t i = 0; i < size; ++i) {
+      bigger[i] = ring[(head + i) & (ring.size() - 1)];
+    }
+    ring.swap(bigger);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = k;
+  ++size;
+}
+
+std::uint32_t EventScheduler::lane_for(std::int64_t delay_us) {
+  std::uint32_t spare = kNoLane;
+  for (std::uint32_t i = 0; i < kLanes; ++i) {
+    if (lane_delay_us_[i] == delay_us) return i;
+    if (spare == kNoLane && lanes_[i].empty()) spare = i;
+  }
+  // Re-keying only an empty lane keeps every lane sorted by (t, seq).
+  if (spare != kNoLane) lane_delay_us_[spare] = delay_us;
+  return spare;
+}
+
 std::uint32_t EventScheduler::free_slot() {
   if (free_.empty()) {
     slots_.emplace_back();
@@ -36,15 +60,28 @@ std::uint32_t EventScheduler::free_slot() {
   return free_.back();
 }
 
-EventId EventScheduler::commit(SimTime t, std::uint32_t slot, Thunk invoke,
-                               Thunk destroy) {
+EventId EventScheduler::commit(SimTime t, std::int64_t delay_us, std::uint32_t slot,
+                               Thunk invoke, Thunk destroy) {
   free_.pop_back();
   Slot& s = slots_[slot];
   s.invoke = invoke;
   s.destroy = destroy;
   s.tag = current_tag_;
-  heap_.push_back(Key{std::max(t, now_), seq_++, slot, s.gen});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  const Key k{std::max(t, now_), seq_++, slot, s.gen};
+  // The lane is chosen here, with no user code (a capture's constructor)
+  // left to run before the push that follows.
+  const std::uint32_t lane = delay_us < 0 ? kNoLane : lane_for(delay_us);
+  if (lane == kNoLane) {
+    heap_.push_back(k);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  } else {
+    Lane& l = lanes_[lane];
+    if (l.empty()) {
+      heap_.push_back(Key{k.t, k.seq, kLaneKey, lane});
+      std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
+    l.push(k);
+  }
   ++live_;
   // The low word is slot + 1, so no live event's id is 0.
   return (static_cast<EventId>(s.gen) << 32) | (static_cast<EventId>(slot) + 1);
@@ -70,19 +107,54 @@ void EventScheduler::cancel(EventId id) {
   release(low - 1);
 }
 
-void EventScheduler::prune() {
-  while (!heap_.empty() && slots_[heap_.front().slot].gen != heap_.front().gen) {
+const EventScheduler::Key& EventScheduler::top_key() const {
+  const Key& top = heap_.front();
+  return top.slot == kLaneKey ? lanes_[top.gen].front() : top;
+}
+
+EventScheduler::Key EventScheduler::take_top() {
+  const Key top = heap_.front();
+  if (top.slot == kLaneKey) {
+    Lane& l = lanes_[top.gen];
+    const Key k = l.front();
+    l.pop();
+    if (!l.empty()) {
+      replace_top(Key{l.front().t, l.front().seq, kLaneKey, top.gen});
+      return k;
+    }
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
+    return k;
+  }
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  return top;
+}
+
+void EventScheduler::replace_top(const Key& k) {
+  const std::size_t n = heap_.size();
+  std::size_t i = 0;
+  for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+    if (c + 1 < n && Later{}(heap_[c], heap_[c + 1])) ++c;
+    if (!Later{}(k, heap_[c])) break;
+    heap_[i] = heap_[c];
+    i = c;
+  }
+  heap_[i] = k;
+}
+
+void EventScheduler::prune() {
+  while (!heap_.empty()) {
+    const Key& k = top_key();
+    if (slots_[k.slot].gen == k.gen) return;
+    take_top();
   }
 }
 
 bool EventScheduler::pop_one() {
   prune();
   if (heap_.empty()) return false;
-  const Key k = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
+  const Key k = take_top();
   Slot& s = slots_[k.slot];
   // Stale from here on, so cancel() from inside the callback is a no-op.
   // The slot stays off the free list until the callback returns: nothing it

@@ -10,6 +10,15 @@
 //   only a callable larger than the buffer goes on the heap.
 // - The priority queue is a binary min-heap of 24-byte POD keys
 //   {t, seq, slot, gen}, ordered by (t, seq).
+// - after(d) with d >= 0 appends its key to a FIFO lane keyed by d instead
+//   (kLanes lanes, each a ring buffer; an empty lane may be re-keyed to a
+//   new delay, and a delay that finds no lane goes to the heap). Within a
+//   lane both t = now + d and seq only grow, so a lane is already sorted and
+//   the heap needs only its head: the heap holds the ordinary keys plus one
+//   stand-in key per non-empty lane. Popping a stand-in fires the lane's
+//   head and re-keys the stand-in to the next one. Firing order is exactly
+//   (t, seq), as with one heap; the heap stays small when most events share
+//   a few fixed delays (timeouts).
 // - An EventId encodes (gen, slot). Every release of a slot (fire or cancel)
 //   bumps its generation, so cancel() is a generation check: a stale id —
 //   already fired, already cancelled, or bogus — is a no-op, and a heap key
@@ -66,11 +75,13 @@ class EventScheduler {
   /// Schedules `fn` (any void() callable, moved or copied into the slot) at
   /// absolute time `t`, clamped to now if in the past.
   template <typename F>
-  EventId at(SimTime t, F&& fn);
+  EventId at(SimTime t, F&& fn) {
+    return schedule(t, /*delay_us=*/-1, std::forward<F>(fn));
+  }
   /// Schedules `fn` after `d` from now.
   template <typename F>
   EventId after(Duration d, F&& fn) {
-    return at(now_ + d, std::forward<F>(fn));
+    return schedule(now_ + d, d.us, std::forward<F>(fn));
   }
 
   /// Cancels a pending event and destroys its callback. No-op if the event
@@ -122,10 +133,29 @@ class EventScheduler {
   struct Key {
     SimTime t;
     std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint32_t slot;  // kLaneKey: a lane's stand-in, `gen` is the lane
     std::uint32_t gen;
   };
   static_assert(sizeof(Key) == 24);
+
+  static constexpr std::size_t kLanes = 8;
+  static constexpr std::uint32_t kNoLane = UINT32_MAX;
+  static constexpr std::uint32_t kLaneKey = UINT32_MAX;
+
+  /// FIFO of keys sharing one delay: a power-of-two ring that only grows.
+  struct Lane {
+    std::vector<Key> ring;
+    std::size_t head = 0;
+    std::size_t size = 0;
+
+    [[nodiscard]] bool empty() const { return size == 0; }
+    [[nodiscard]] const Key& front() const { return ring[head]; }
+    void pop() {
+      head = (head + 1) & (ring.size() - 1);
+      --size;
+    }
+    void push(const Key& k);
+  };
 
   /// Heap-held stand-in for a callable too large for the inline buffer.
   template <typename Fn>
@@ -134,15 +164,28 @@ class EventScheduler {
     void operator()() { (*fn)(); }
   };
 
+  /// `delay_us` is after()'s delay, which may pick a lane; at() passes -1.
+  template <typename F>
+  EventId schedule(SimTime t, std::int64_t delay_us, F&& fn);
+  /// The lane keyed by `delay_us`, else an empty lane re-keyed to it, else
+  /// kNoLane.
+  std::uint32_t lane_for(std::int64_t delay_us);
   std::uint32_t free_slot();  // a free slot index; stays on the free list
-  EventId commit(SimTime t, std::uint32_t slot, Thunk invoke, Thunk destroy);
+  EventId commit(SimTime t, std::int64_t delay_us, std::uint32_t slot, Thunk invoke,
+                 Thunk destroy);
   void release(std::uint32_t slot);  // destroys the callback, frees the slot
-  void prune();    // drops stale keys from the head of the heap
+  /// The key the heap's top stands for: itself, or its lane's head.
+  [[nodiscard]] const Key& top_key() const;
+  Key take_top();  // removes top_key() from the queue and returns it
+  void replace_top(const Key& k);  // overwrites the heap's top, sifts down
+  void prune();    // drops stale keys from the head of the queue
   bool pop_one();  // fires the earliest event; false if queue empty
 
   std::deque<Slot> slots_;  // never shrinks; elements never move
   std::vector<std::uint32_t> free_;
   std::vector<Key> heap_;
+  std::array<Lane, kLanes> lanes_;
+  std::array<std::int64_t, kLanes> lane_delay_us_{};  // lane i's after() delay
   SimTime now_{0};
   std::uint64_t seq_ = 0;
   std::size_t live_ = 0;
@@ -154,16 +197,16 @@ class EventScheduler {
 };
 
 template <typename F>
-EventId EventScheduler::at(SimTime t, F&& fn) {
+EventId EventScheduler::schedule(SimTime t, std::int64_t delay_us, F&& fn) {
   using Fn = std::decay_t<F>;
   if constexpr (!stores_inline<Fn>) {
-    return at(t, Boxed<Fn>{std::make_unique<Fn>(std::forward<F>(fn))});
+    return schedule(t, delay_us, Boxed<Fn>{std::make_unique<Fn>(std::forward<F>(fn))});
   } else {
     const std::uint32_t slot = free_slot();
     // The slot leaves the free list in commit(), after construction, so a
     // throwing copy or move leaves the pool intact.
     ::new (static_cast<void*>(slots_[slot].buf)) Fn(std::forward<F>(fn));
-    return commit(t, slot, [](void* p) { (*static_cast<Fn*>(p))(); },
+    return commit(t, delay_us, slot, [](void* p) { (*static_cast<Fn*>(p))(); },
                   [](void* p) { static_cast<Fn*>(p)->~Fn(); });
   }
 }

@@ -13,8 +13,8 @@ std::string to_string(ConnectOutcome o) {
   return "?";
 }
 
-TcpConn::TcpConn(Host& host, net::Endpoint local, net::Endpoint remote, bool inbound,
-                 std::uint32_t iss)
+TcpConn::TcpConn(Token, Host& host, net::Endpoint local, net::Endpoint remote,
+                 bool inbound, std::uint32_t iss)
     : host_(host),
       local_(local),
       remote_(remote),

@@ -37,11 +37,21 @@ enum class ConnectOutcome {
 class TcpConn;
 using ConnectHandler = std::function<void(ConnectOutcome, TcpConn*)>;
 
-/// One TCP connection endpoint. Owned by its Host; user code holds a
-/// non-owning pointer which stays valid until shortly after on_close fires.
+/// One TCP connection endpoint. Owned by its Host, which builds it in place
+/// inside its connection-map node; user code holds a non-owning pointer
+/// which stays valid until shortly after on_close fires.
 class TcpConn {
  public:
   enum class State { kSynSent, kSynRcvd, kEstablished, kClosed };
+
+  /// Only Host can make one, so only Host constructs connections (the map
+  /// node's allocator needs a public constructor to call).
+  class Token {
+    friend class Host;
+    Token() = default;
+  };
+  TcpConn(Token, Host& host, net::Endpoint local, net::Endpoint remote, bool inbound,
+          std::uint32_t iss);
 
   using DataHandler = std::function<void(TcpConn&, util::BytesView)>;
   using CloseHandler = std::function<void(TcpConn&)>;
@@ -76,9 +86,6 @@ class TcpConn {
  private:
   friend class Host;
 
-  TcpConn(Host& host, net::Endpoint local, net::Endpoint remote, bool inbound,
-          std::uint32_t iss);
-
   void handle(const net::Packet& p);  // driven by Host::deliver
   void emit(net::TcpFlags flags, util::BytesView payload = {});
   void become_closed(bool notify);
@@ -101,8 +108,11 @@ class TcpConn {
   DataHandler on_data_;
   CloseHandler on_close_;
   /// Pending active open (SYN_SENT): the handler that has not fired yet
-  /// and the timeout that fires it with kTimeout. Host resolves both through
-  /// its conns_ lookup; the handler is empty once the outcome is reported.
+  /// and the timeout that fires it with kTimeout. A SYN-ACK or RST resolves
+  /// both through Host's conns_ lookup, the timeout through the map iterator
+  /// it holds; the handler is empty once the outcome is reported.
+  /// A handler capturing at most two pointers' worth of trivially copyable
+  /// state is stored inside the std::function, without a heap block.
   ConnectHandler on_connect_;
   EventId connect_timeout_ = 0;
 };

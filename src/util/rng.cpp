@@ -97,19 +97,28 @@ std::size_t Rng::weighted(std::initializer_list<double> weights) {
   return weighted(std::span<const double>(weights.begin(), weights.size()));
 }
 
-std::uint64_t Rng::zipf(std::uint64_t n, double s) {
+ZipfTable::ZipfTable(std::uint64_t n, double s) {
   if (n == 0) throw std::invalid_argument("Rng::zipf: n == 0");
   if (s <= 0.0) throw std::invalid_argument("Rng::zipf: s <= 0");
-  // Inverse-CDF on the (truncated) harmonic weights. n is small in our use
-  // (hundreds to thousands), so the linear scan is fine and exact.
-  double total = 0.0;
-  for (std::uint64_t k = 1; k <= n; ++k) total += 1.0 / std::pow(static_cast<double>(k), s);
-  double x = uniform01() * total;
+  weights_.reserve(n);
   for (std::uint64_t k = 1; k <= n; ++k) {
-    x -= 1.0 / std::pow(static_cast<double>(k), s);
-    if (x < 0.0) return k;
+    weights_.push_back(1.0 / std::pow(static_cast<double>(k), s));
+    total_ += weights_.back();
   }
-  return n;
+}
+
+std::uint64_t Rng::zipf(std::uint64_t n, double s) { return zipf(ZipfTable(n, s)); }
+
+std::uint64_t Rng::zipf(const ZipfTable& table) {
+  // Inverse-CDF on the (truncated) harmonic weights, summed and subtracted
+  // in rank order. n is small in our use (hundreds to thousands), so the
+  // linear scan is fine and exact.
+  double x = uniform01() * table.total_;
+  for (std::size_t k = 0; k < table.weights_.size(); ++k) {
+    x -= table.weights_[k];
+    if (x < 0.0) return k + 1;
+  }
+  return table.n();
 }
 
 }  // namespace malnet::util

@@ -20,6 +20,21 @@ namespace malnet::util {
 /// Stable 64-bit FNV-1a hash of a string; used to derive named sub-streams.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view s);
 
+/// The weights 1/k^s (k = 1..n) of a Zipf draw and their total, computed
+/// once. Callers that draw repeatedly over the same (n, s) keep one table.
+class ZipfTable {
+ public:
+  /// Requires n > 0 and s > 0.
+  ZipfTable(std::uint64_t n, double s);
+
+  [[nodiscard]] std::uint64_t n() const { return weights_.size(); }
+
+ private:
+  friend class Rng;
+  std::vector<double> weights_;
+  double total_ = 0.0;
+};
+
 /// PCG32 generator (O'Neill). Satisfies UniformRandomBitGenerator.
 class Rng {
  public:
@@ -74,6 +89,8 @@ class Rng {
   /// Zipf-like heavy-tailed integer in [1, n] with exponent s (s > 0).
   /// Used for "few C2s serve many binaries" style distributions.
   [[nodiscard]] std::uint64_t zipf(std::uint64_t n, double s);
+  /// The same draw over a precomputed table: bit-identical to zipf(n, s).
+  [[nodiscard]] std::uint64_t zipf(const ZipfTable& table);
 
  private:
   std::uint64_t state_;

@@ -293,6 +293,22 @@ TEST(WorldLifecycle, ServersComeAndGo) {
   EXPECT_THROW(w.advance_to_day(first.birth_day), std::logic_error);  // no rewind
 }
 
+TEST(WorldCapacity, SampleCountBeyondTheCalendarIsRejected) {
+  EXPECT_EQ(sample_capacity(), 1447);
+  Sim s;
+  WorldConfig cfg;
+  cfg.total_samples = sample_capacity() + 1;
+  try {
+    World w(s.net, cfg);
+    FAIL() << "World accepted " << cfg.total_samples << " samples";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("capacity of 1447 samples"), std::string::npos)
+        << e.what();
+  }
+  cfg.total_samples = 0;
+  EXPECT_THROW(World(s.net, cfg), std::invalid_argument);
+}
+
 // --- Probe world -----------------------------------------------------------------
 
 TEST(ProbeWorld, ShapeMatchesSection23b) {

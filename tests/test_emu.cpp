@@ -10,6 +10,7 @@
 #include "emu/sandbox.hpp"
 #include "mal/binary.hpp"
 #include "net/pcap.hpp"
+#include "testkit/tempdir.hpp"
 
 using namespace malnet;
 using namespace malnet::emu;
@@ -231,7 +232,8 @@ TEST(Sandbox, CaptureExportsAsValidPcap) {
   Bench b;
   util::Rng rng(12);
   const auto report = run_observe(b, mal::forge(scanning_bot(std::nullopt), rng));
-  const std::string path = ::testing::TempDir() + "/sandbox.pcap";
+  const testkit::ScopedTempDir tmp("sandbox");
+  const std::string path = tmp.file("sandbox.pcap");
   report.save_pcap(path);
   const auto packets = net::load_pcap(path);
   EXPECT_EQ(packets.size(), report.capture.size());

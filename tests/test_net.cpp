@@ -5,6 +5,7 @@
 #include "net/ipv4.hpp"
 #include "net/packet.hpp"
 #include "net/pcap.hpp"
+#include "testkit/tempdir.hpp"
 
 using namespace malnet;
 using namespace malnet::net;
@@ -179,7 +180,8 @@ TEST(Pcap, RoundTripPreservesPacketsAndTimes) {
 TEST(Pcap, FileSaveAndLoad) {
   PcapWriter w;
   w.add(make_tcp());
-  const std::string path = ::testing::TempDir() + "/malnet_test.pcap";
+  const testkit::ScopedTempDir tmp("pcap");
+  const std::string path = tmp.file("malnet_test.pcap");
   w.save(path);
   const auto packets = load_pcap(path);
   ASSERT_EQ(packets.size(), 1u);

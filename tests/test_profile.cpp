@@ -24,6 +24,7 @@
 #include "profile/registry.hpp"
 #include "profile/wire.hpp"
 #include "report/dataset_io.hpp"
+#include "testkit/tempdir.hpp"
 #include "testkit/testkit.hpp"
 
 using namespace malnet;
@@ -33,7 +34,8 @@ namespace fs = std::filesystem;
 namespace {
 
 std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  static const testkit::ScopedTempDir kDir("profile");
+  return kDir.file(name);
 }
 
 void write_text(const std::string& path, const std::string& text) {

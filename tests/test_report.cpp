@@ -12,6 +12,7 @@
 #include "report/dossier.hpp"
 #include "report/export_series.hpp"
 #include "report/tables.hpp"
+#include "testkit/tempdir.hpp"
 #include <fstream>
 
 using namespace malnet;
@@ -212,7 +213,8 @@ TEST(Emitters, FigureSeriesExportCoversEveryFigure) {
 
   // Files land on disk and parse as CSV (header width == row width is
   // enforced by CsvWriter at generation time; here we check round-trip).
-  const auto dir = ::testing::TempDir();
+  const testkit::ScopedTempDir tmp("series");
+  const auto& dir = tmp.path();
   EXPECT_EQ(write_figure_series(results, pipe.asdb(), dir), series.size());
   std::ifstream f(dir + "/fig13_as_rank.csv");
   ASSERT_TRUE(f.good());
@@ -259,7 +261,8 @@ TEST(DatasetIo, RoundTripIsLossless) {
   }
 
   // File round trip + corruption rejection.
-  const auto path = ::testing::TempDir() + "/study.mds";
+  const testkit::ScopedTempDir tmp("datasets");
+  const auto path = tmp.file("study.mds");
   save_datasets(results, path);
   const auto loaded = load_datasets(path);
   EXPECT_EQ(loaded.d_c2s.size(), results.d_c2s.size());

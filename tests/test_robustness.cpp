@@ -15,6 +15,7 @@
 #include "profile/wire.hpp"
 #include "proto/irc.hpp"
 #include "proto/p2p.hpp"
+#include "testkit/tempdir.hpp"
 #include "util/rng.hpp"
 
 using namespace malnet;
@@ -206,7 +207,8 @@ TEST(Robustness, OfflineRoundTripPreservesAnalysis) {
     syn.flags.syn = true;
     w.add(syn);
   }
-  const std::string path = ::testing::TempDir() + "/offline.pcap";
+  const testkit::ScopedTempDir tmp("offline");
+  const std::string path = tmp.file("offline.pcap");
   w.save(path);
   const auto report = core::report_from_pcap(path);
   const auto cands = core::detect_c2(report, net::Ipv4{10, 99, 7, 7});

@@ -18,14 +18,13 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "core/parallel_study.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "store/store.hpp"
 #include "testkit/mutate.hpp"
+#include "testkit/tempdir.hpp"
 #include "util/rng.hpp"
 #include "util/socket.hpp"
 #include "util/str.hpp"
@@ -53,12 +52,11 @@ void build_store(const std::string& dir) {
 /// One small committed store shared by every server test in this binary
 /// (building it runs a real two-shard study; do that once).
 const std::string& fixture_dir() {
-  static const std::string kDir = [] {
-    const auto dir = ::testing::TempDir() + "/serve_fixture";
-    build_store(dir);
-    return dir;
-  }();
-  return kDir;
+  static const struct Fixture {
+    testkit::ScopedTempDir dir{"serve_fixture"};
+    Fixture() { build_store(dir.path()); }
+  } kFixture;
+  return kFixture.dir.path();
 }
 
 const std::vector<std::string>& fixture_queries() {
@@ -239,11 +237,9 @@ TEST(Serve, ConcurrentClientsGetByteIdenticalAnswers) {
 TEST(Serve, ExploitLookupResolvesEveryListedLabel) {
   // `exploits` labels non-CVE vulnerabilities by their vulndb names, several
   // of which contain spaces ("Vacron NVR RCE"); `exploit <label>` must
-  // resolve every such label, in-process and over the wire alike. The
-  // store is private to this process: other test processes rebuild the
-  // shared fixture directory concurrently under `ctest -j`.
-  const auto dir =
-      ::testing::TempDir() + "/serve_exploit_labels_" + std::to_string(getpid());
+  // resolve every such label, in-process and over the wire alike.
+  const testkit::ScopedTempDir tmp("serve_exploit_labels");
+  const auto& dir = tmp.path();
   build_store(dir);
   store::Store st(dir);
   store::QueryEngine engine(st);

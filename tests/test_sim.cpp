@@ -3,11 +3,13 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <memory>
 #include <stdexcept>
 
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
+#include "testkit/alloc_count.hpp"
 #include "util/rng.hpp"
 
 using namespace malnet;
@@ -146,6 +148,115 @@ TEST(Scheduler, RandomScheduleAndCancelMatchesReferenceOrder) {
   EXPECT_EQ(s.pending(), want.size());
   EXPECT_EQ(s.run(), want.size());
   EXPECT_EQ(fired, want);
+}
+
+namespace {
+
+/// Drives an EventScheduler and a reference model of it, a map ordered by
+/// (t, seq), with the same random schedule/cancel stream, and checks every
+/// firing against the model's head.
+class LaneOrderHarness {
+ public:
+  EventScheduler s;
+
+  void add() {
+    const auto ev = static_cast<int>(ids_.size());
+    const auto cb = [this, ev] { fire(ev); };
+    std::int64_t t = 0;
+    EventId id = 0;
+    const double roll = rng_.uniform01();
+    if (roll < 0.6) {
+      const Duration d = pick_delay();
+      t = s.now().us + d.us;
+      id = s.after(d, cb);
+    } else if (roll < 0.9) {
+      t = s.now().us + static_cast<std::int64_t>(rng_.uniform(0, 3'000'000));
+      id = s.at(SimTime{t}, cb);
+    } else {
+      t = s.now().us;  // a negative delay clamps to now
+      id = s.after(Duration::micros(-5), cb);
+    }
+    keys_.emplace_back(t, seq_++);
+    model_.emplace(keys_.back(), ev);
+    ids_.push_back(id);
+    done_.push_back(false);
+  }
+
+  /// Cancels a random event ever scheduled: pending, fired or cancelled.
+  void cancel_random() {
+    if (ids_.empty()) return;
+    const auto ev = static_cast<std::size_t>(rng_.uniform(0, ids_.size() - 1));
+    s.cancel(ids_[ev]);
+    if (!done_[ev]) {
+      model_.erase(keys_[ev]);
+      done_[ev] = true;
+    }
+  }
+
+  util::Rng& rng() { return rng_; }
+  [[nodiscard]] std::size_t model_pending() const { return model_.size(); }
+  [[nodiscard]] std::int64_t model_head_time() const {
+    return model_.empty() ? INT64_MAX : model_.begin()->first.first;
+  }
+  [[nodiscard]] int fired() const { return fired_; }
+
+ private:
+  Duration pick_delay() {
+    // Three hot delays, then a tail of 12 distinct ones: more than lanes.
+    static constexpr std::array<std::int64_t, 3> kHot{0, 100'000, 2'000'000};
+    if (rng_.chance(0.7)) return Duration{kHot[rng_.uniform(0, kHot.size() - 1)]};
+    return Duration{static_cast<std::int64_t>(rng_.uniform(0, 11)) * 37'000 + 1};
+  }
+
+  void fire(int ev) {
+    ASSERT_FALSE(model_.empty());
+    const auto head = model_.begin();
+    ASSERT_EQ(head->second, ev) << "fired out of (t, seq) order";
+    EXPECT_EQ(s.now().us, head->first.first);
+    model_.erase(head);
+    done_[static_cast<std::size_t>(ev)] = true;
+    ++fired_;
+    // From inside the callback: schedule more, and cancel (maybe itself).
+    if (ids_.size() < 6000) {
+      for (auto n = rng_.uniform(0, 2); n > 0; --n) add();
+    }
+    if (rng_.chance(0.25)) cancel_random();
+  }
+
+  util::Rng rng_{41};
+  std::map<std::pair<std::int64_t, std::uint64_t>, int> model_;  // (t, seq) -> ev
+  std::vector<std::pair<std::int64_t, std::uint64_t>> keys_;      // ev -> (t, seq)
+  std::vector<EventId> ids_;
+  std::vector<bool> done_;  // fired or cancelled
+  std::uint64_t seq_ = 0;
+  int fired_ = 0;
+};
+
+}  // namespace
+
+TEST(Scheduler, FixedDelayLanesKeepReferenceOrder) {
+  // Repeated after() delays ride FIFO lanes, the rest (and every at()) the
+  // heap. Whichever path a key takes, events fire in exact (t, seq) order,
+  // through cancels from outside and inside callbacks and run_until jumps.
+  LaneOrderHarness h;
+  for (int round = 0; round < 300; ++round) {
+    for (auto n = h.rng().uniform(0, 30); n > 0; --n) h.add();
+    for (auto n = h.rng().uniform(0, 5); n > 0; --n) h.cancel_random();
+    if (h.rng().chance(0.5)) {
+      const SimTime until =
+          h.s.now() + Duration{static_cast<std::int64_t>(h.rng().uniform(0, 2'500'000))};
+      h.s.run_until(until);
+      EXPECT_EQ(h.s.now(), until);
+      EXPECT_GT(h.model_head_time(), until.us);
+    } else {
+      h.s.run(static_cast<std::size_t>(h.rng().uniform(0, 40)));
+    }
+    ASSERT_EQ(h.s.pending(), h.model_pending()) << "round " << round;
+  }
+  h.s.run();
+  EXPECT_EQ(h.model_pending(), 0u);
+  EXPECT_EQ(h.s.pending(), 0u);
+  EXPECT_GT(h.fired(), 3000);
 }
 
 // --- scheduler: callback lifetime ---------------------------------------------
@@ -493,6 +604,62 @@ TEST(Tcp, ConnectOutcomeFiresExactlyOnce) {
   // was reaped after close, the dark and aborted ones at their timeouts.
   EXPECT_EQ(client.open_connections(), 1u);
   EXPECT_EQ(aborter.open_connections(), 0u);
+}
+
+TEST(Tcp, HostDestroyedWithPendingDarkConnectsFiresNoHandler) {
+  TestWorld w;
+  int fired = 0;
+  const auto token = std::make_shared<int>(0);
+  {
+    Host scout(w.net, net::Ipv4{10, 0, 0, 9});
+    for (std::uint32_t i = 0; i < 300; ++i) {
+      scout.tcp_connect({net::Ipv4{0x42000000u + i}, 23},
+                        [&fired, token](ConnectOutcome, TcpConn*) { ++fired; },
+                        Duration::seconds(2));
+    }
+    EXPECT_EQ(scout.open_connections(), 300u);
+    EXPECT_EQ(token.use_count(), 301);
+    w.sched.run_until(SimTime{} + Duration::seconds(1));
+  }
+  // The handlers and their captures went with the host. The timeouts still
+  // fire as events, but find the host gone.
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(w.sched.run(), 300u);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(Tcp, DarkConnectsRecycleConnectionNodes) {
+  // The first wave's timeouts return its 600 connection nodes to the
+  // host's free list, and the second wave reuses them without one heap
+  // allocation. Ports and outcomes are as without recycling.
+  TestWorld w;
+  Host scout(w.net, net::Ipv4{10, 0, 0, 9});
+  std::vector<net::Port> ports;
+  ports.reserve(2000);
+  w.net.set_global_tap([&ports](const net::Packet& p) { ports.push_back(p.src_port); });
+  int timeouts = 0;
+  const auto wave = [&](std::uint32_t first_dark) {
+    for (std::uint32_t i = 0; i < 600; ++i) {
+      scout.tcp_connect({net::Ipv4{first_dark + i}, 23},
+                        [&timeouts](ConnectOutcome o, TcpConn* c) {
+                          timeouts += o == ConnectOutcome::kTimeout && c == nullptr;
+                        },
+                        Duration::seconds(2));
+    }
+    EXPECT_EQ(scout.open_connections(), 600u);
+    w.sched.run();
+  };
+  wave(0x42000000u);
+  EXPECT_EQ(timeouts, 600);
+  const auto allocations_before = testkit::allocations();
+  wave(0x43000000u);
+  EXPECT_EQ(testkit::allocations() - allocations_before, 0u);
+  EXPECT_EQ(timeouts, 1200);
+  EXPECT_EQ(scout.open_connections(), 0u);
+  ASSERT_EQ(ports.size(), 1200u);
+  for (std::size_t i = 0; i < ports.size(); ++i) {
+    ASSERT_EQ(ports[i], 49152 + i) << "SYN " << i;
+  }
 }
 
 TEST(Tcp, CloseNotifiesPeer) {

@@ -20,6 +20,7 @@
 #include "store/store.hpp"
 #include "testkit/check.hpp"
 #include "testkit/gen.hpp"
+#include "testkit/tempdir.hpp"
 #include "util/fsio.hpp"
 
 using namespace malnet;
@@ -42,9 +43,10 @@ core::ParallelStudyConfig study_config(
   return cfg;
 }
 
-/// Fresh per-test store directory (TempDir is shared across the binary).
+/// Fresh store directory `name` inside this process's scratch directory.
 std::string fresh_dir(const std::string& name) {
-  const auto dir = ::testing::TempDir() + "/store_" + name;
+  static const testkit::ScopedTempDir kRoot("store");
+  const auto dir = kRoot.file(name);
   fs::remove_all(dir);
   return dir;
 }
@@ -205,9 +207,8 @@ TEST(Store, FingerprintCoversProfileSetAndVariant) {
 
   // Loading files byte-equivalent to the builtins must not invalidate a
   // resume (the committed profiles/ directory is exactly such a set).
-  const auto dir = fs::path(::testing::TempDir()) / "fp_profiles";
-  fs::remove_all(dir);  // a previous run's variant file must not leak in
-  fs::create_directories(dir);
+  const testkit::ScopedTempDir tmp("fp_profiles");
+  const fs::path dir = tmp.path();
   for (const auto* p : profile::Registry::builtin().all()) {
     std::ofstream(dir / (p->name + ".json")) << p->to_pretty_json();
   }
@@ -436,7 +437,8 @@ TEST(DatasetIo, SaveDatasetsReplacesAtomically) {
   // into the destination, so a crash mid-write left a torn artifact. Now it
   // stages to a hidden temp and renames; the destination either keeps its
   // old content or has the complete new one, and no temp survives.
-  const auto dir = ::testing::TempDir();
+  const testkit::ScopedTempDir tmp("atomic");
+  const auto& dir = tmp.path();
   const auto path = dir + "/atomic.mds";
   std::ofstream(path) << "previous artifact";
   const auto results = core::ParallelStudy(study_config(7, 20, 1, 1)).run();

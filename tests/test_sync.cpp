@@ -45,6 +45,7 @@
 #include "testkit/corpus.hpp"
 #include "testkit/gen.hpp"
 #include "testkit/mutate.hpp"
+#include "testkit/tempdir.hpp"
 #include "util/rng.hpp"
 #include "util/socket.hpp"
 
@@ -59,12 +60,11 @@ constexpr const char* kHexDigits = "0123456789abcdef";
 /// Three small producer stores with pairwise-distinct studies (building
 /// each runs a real two-shard study; do it once per binary).
 const std::vector<std::string>& producer_dirs() {
+  static const testkit::ScopedTempDir kRoot("sync_producers");
   static const std::vector<std::string> kDirs = [] {
     std::vector<std::string> dirs;
     for (int i = 0; i < 3; ++i) {
-      const auto dir =
-          ::testing::TempDir() + "/sync_producer_" + std::to_string(i);
-      fs::remove_all(dir);
+      const auto dir = kRoot.file("producer_" + std::to_string(i));
       core::ParallelStudyConfig cfg;
       cfg.base.seed = 31 + static_cast<std::uint64_t>(i);
       cfg.base.world.total_samples = 24;
@@ -128,8 +128,8 @@ std::string store_snapshot(const std::string& dir) {
 /// (no network) in canonical hash order, then compacted.
 const std::string& reference_snapshot() {
   static const std::string kSnapshot = [] {
-    const auto dir = ::testing::TempDir() + "/sync_reference";
-    fs::remove_all(dir);
+    const testkit::ScopedTempDir tmp("sync_reference");
+    const auto& dir = tmp.path();
     {
       store::Store st(dir);
       for (const auto& bytes : all_producer_segments()) {
@@ -475,8 +475,8 @@ TEST(Sync, PushPermutationsConvergeByteIdentically) {
   for (const auto& order : orders) {
     std::string label;
     for (int i : order) label += static_cast<char>('0' + i);
-    const auto dir = ::testing::TempDir() + "/sync_perm_" + label;
-    fs::remove_all(dir);
+    const testkit::ScopedTempDir tmp("sync_perm_" + label);
+    const auto& dir = tmp.path();
     {
       SyncServer srv(dir);
       for (int i : order) {
@@ -504,8 +504,8 @@ TEST(Sync, PushPermutationsConvergeByteIdentically) {
 }
 
 TEST(Sync, ResyncIsANoOp) {
-  const auto dir = ::testing::TempDir() + "/sync_resync";
-  fs::remove_all(dir);
+  const testkit::ScopedTempDir tmp("sync_resync");
+  const auto& dir = tmp.path();
   SyncServer srv(dir);
   for (const auto& producer : producer_dirs()) {
     ASSERT_TRUE(push_store(producer, srv.port()).has_value());
@@ -523,8 +523,8 @@ TEST(Sync, ResyncIsANoOp) {
 
 TEST(Sync, PullPopulatesAFreshReplica) {
   const auto src_dir = producer_dirs()[0];
-  const auto dir = ::testing::TempDir() + "/sync_pull_replica";
-  fs::remove_all(dir);
+  const testkit::ScopedTempDir tmp("sync_pull_replica");
+  const auto& dir = tmp.path();
   SyncServer srv(src_dir);
 
   std::vector<std::string> expected;
@@ -565,8 +565,8 @@ TEST(SyncProps, ImportOrderNeverChangesCompactedBytes) {
         auto order = all_producer_segments();
         util::Rng rng(seed, 3);
         rng.shuffle(order);
-        const auto dir = ::testing::TempDir() + "/sync_order_case";
-        fs::remove_all(dir);
+        const testkit::ScopedTempDir tmp("sync_order_case");
+        const auto& dir = tmp.path();
         {
           store::Store st(dir);
           for (const auto& bytes : order) {
@@ -574,17 +574,15 @@ TEST(SyncProps, ImportOrderNeverChangesCompactedBytes) {
           }
           (void)st.compact();
         }
-        const bool converged = store_snapshot(dir) == reference_snapshot();
-        fs::remove_all(dir);
-        return converged;
+        return store_snapshot(dir) == reference_snapshot();
       },
       cfg);
   EXPECT_TRUE(r.ok) << r.summary();
 }
 
 TEST(Sync, ImportIsIdempotentAndGrowOnly) {
-  const auto dir = ::testing::TempDir() + "/sync_import_semantics";
-  fs::remove_all(dir);
+  const testkit::ScopedTempDir tmp("sync_import_semantics");
+  const auto& dir = tmp.path();
   store::Store st(dir);
   const auto& segments = all_producer_segments();
   const auto first = st.import_segment(util::BytesView{segments[0]});
@@ -602,8 +600,8 @@ TEST(Sync, ImportIsIdempotentAndGrowOnly) {
 // --- Fuzzing the server ------------------------------------------------------
 
 TEST(Sync, FuzzedSyncFramesNeverCorruptTheStore) {
-  const auto dir = ::testing::TempDir() + "/sync_fuzz_target";
-  fs::remove_all(dir);
+  const testkit::ScopedTempDir tmp("sync_fuzz_target");
+  const auto& dir = tmp.path();
   std::vector<std::string> preloaded;
   {
     store::Store st(dir);
@@ -788,8 +786,8 @@ class FlakyProxy {
 }  // namespace
 
 TEST(Sync, FlakyLinkRetriesConvergeWithManifestIntactThroughout) {
-  const auto dir = ::testing::TempDir() + "/sync_chaos";
-  fs::remove_all(dir);
+  const testkit::ScopedTempDir tmp("sync_chaos");
+  const auto& dir = tmp.path();
   SyncServer srv(dir);
   FlakyProxy proxy(srv.port(), 22);
 
@@ -838,8 +836,8 @@ TEST(Sync, FlakyLinkRetriesConvergeWithManifestIntactThroughout) {
 // --- GC vs writers (the ISSUE 7 fix) -----------------------------------------
 
 TEST(Store, GcSkipsWhileAnotherHandleHoldsTheWriterLock) {
-  const auto dir = ::testing::TempDir() + "/sync_gc_guard";
-  fs::remove_all(dir);
+  const testkit::ScopedTempDir tmp("sync_gc_guard");
+  const auto& dir = tmp.path();
   {
     store::Store st(dir);
     (void)st.import_segment(util::BytesView{all_producer_segments()[0]});
@@ -877,8 +875,8 @@ TEST(Store, GcSkipsWhileAnotherHandleHoldsTheWriterLock) {
 TEST(Sync, KilledSyncLeavesAResumableStoreThatReconverges) {
   // State a SIGKILL mid-import leaves behind: some segments journaled, one
   // renamed into place but never published in MANIFEST, one staging temp.
-  const auto dir = ::testing::TempDir() + "/sync_killed";
-  fs::remove_all(dir);
+  const testkit::ScopedTempDir tmp("sync_killed");
+  const auto& dir = tmp.path();
   std::vector<std::string> journaled;
   {
     store::Store st(dir);
@@ -959,8 +957,8 @@ TEST(SyncWire, TracedRequestRoundTripAndBackwardCompat) {
 }
 
 TEST(Sync, TracedPushSharesOneTraceIdAcrossBothNodes) {
-  const auto replica = ::testing::TempDir() + "/sync_trace_replica";
-  fs::remove_all(replica);
+  const testkit::ScopedTempDir tmp("sync_trace_replica");
+  const auto& replica = tmp.path();
   obs::SpanRecorder server_spans;
   server_spans.set_enabled(true);
   SyncServer srv(replica);
@@ -1009,8 +1007,8 @@ TEST(Sync, TracedPushSharesOneTraceIdAcrossBothNodes) {
 }
 
 TEST(Sync, SessionSlowLogRecordsOpsWithPeer) {
-  const auto replica = ::testing::TempDir() + "/sync_slowlog_replica";
-  fs::remove_all(replica);
+  const testkit::ScopedTempDir tmp("sync_slowlog_replica");
+  const auto& replica = tmp.path();
   SyncServer srv(replica);
   srv.handler->configure_slow_log(/*capacity=*/8, /*threshold_us=*/0);
 

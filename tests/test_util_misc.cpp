@@ -8,6 +8,7 @@
 #include <fstream>
 #include <numeric>
 
+#include "testkit/tempdir.hpp"
 #include "util/csv.hpp"
 #include "util/fsio.hpp"
 #include "util/simtime.hpp"
@@ -298,7 +299,8 @@ TEST(Fsio, TempNamingRoundTrip) {
 }
 
 TEST(Fsio, WriteFileAtomicWritesAndReplaces) {
-  const auto path = ::testing::TempDir() + "/fsio_target.bin";
+  const malnet::testkit::ScopedTempDir tmp("fsio");
+  const auto path = tmp.file("fsio_target.bin");
   write_file_atomic(path, std::string_view("first"));
   write_file_atomic(path, std::string_view("second, longer content"));
   std::ifstream f(path, std::ios::binary);

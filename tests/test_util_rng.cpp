@@ -126,6 +126,35 @@ TEST(Rng, ZipfFavoursLowRanks) {
   EXPECT_GT(rank1, rank10 * 5);
 }
 
+TEST(Rng, ZipfTableDrawsMatchTheFormulaBitForBit) {
+  // The formula as it stood before weights were cached: n pow() calls to sum
+  // the weights, then n more while subtracting them from the scaled draw.
+  const auto formula = [](Rng& r, std::uint64_t n, double s) -> std::uint64_t {
+    double total = 0.0;
+    for (std::uint64_t k = 1; k <= n; ++k) total += 1.0 / std::pow(static_cast<double>(k), s);
+    double x = r.uniform01() * total;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+      x -= 1.0 / std::pow(static_cast<double>(k), s);
+      if (x < 0.0) return k;
+    }
+    return n;
+  };
+  for (const std::uint64_t n : {1u, 2u, 64u, 1024u}) {
+    for (const double s : {0.5, 0.85, 1.0, 1.7, 3.0}) {
+      const ZipfTable table(n, s);
+      EXPECT_EQ(table.n(), n);
+      Rng cached(n * 31 + 5), direct(n * 31 + 5), reference(n * 31 + 5);
+      for (int i = 0; i < 2000; ++i) {
+        const auto want = formula(reference, n, s);
+        ASSERT_EQ(cached.zipf(table), want) << "n=" << n << " s=" << s << " draw " << i;
+        ASSERT_EQ(direct.zipf(n, s), want) << "n=" << n << " s=" << s << " draw " << i;
+      }
+    }
+  }
+  EXPECT_THROW(ZipfTable(0, 1.0), std::invalid_argument);
+  EXPECT_THROW(ZipfTable(4, 0.0), std::invalid_argument);
+}
+
 TEST(Rng, ShuffleIsAPermutation) {
   Rng r(13);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};

@@ -31,6 +31,7 @@
 #include <unistd.h>
 
 #include "asdb/asdb.hpp"
+#include "botnet/world.hpp"
 #include "core/c2detect.hpp"
 #include "core/exploit_id.hpp"
 #include "core/parallel_study.hpp"
@@ -81,7 +82,9 @@ using namespace malnet;
       "        [--store <dir> [--resume]]\n"
       "        [--metrics-out <m.json>] [--trace-out <t.json>] [--profile]\n"
       "        [--chaos <none|flaky|hostile>] [--chaos-seed N]\n"
-      "        (--chaos injects deterministic faults (loss bursts, dup/\n"
+      "        (--samples is at most 1447, the Appendix-E weekly calendar;\n"
+      "         a larger count exits 2.\n"
+      "         --chaos injects deterministic faults (loss bursts, dup/\n"
       "         reorder, DNS failures, C2 crashes); --chaos-seed varies the\n"
       "         fault schedule without changing the world. Impaired samples\n"
       "         land in the degraded section of the results.\n"
@@ -311,7 +314,15 @@ int cmd_analyze(const Args& args) {
 core::ParallelStudyConfig build_study_config(const Args& args) {
   core::ParallelStudyConfig cfg;
   cfg.base.seed = std::stoull(args.get("seed", "22"));
-  if (args.has("samples")) cfg.base.world.total_samples = std::stoi(args.get("samples"));
+  if (args.has("samples")) {
+    cfg.base.world.total_samples = std::stoi(args.get("samples"));
+    try {
+      botnet::check_total_samples(cfg.base.world.total_samples);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "error: " << e.what() << '\n';
+      std::exit(2);
+    }
+  }
   if (args.has("no-probe")) cfg.base.run_probe_campaign = false;
   cfg.base.trace = args.has("trace-out");
   cfg.base.profile_wall = args.has("profile");

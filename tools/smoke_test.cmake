@@ -39,6 +39,14 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "D-Samples   60")
   message(FATAL_ERROR "sharded study failed: ${out}${err}")
 endif()
 
+# A --samples count beyond the Appendix-E weekly calendar is a bad
+# argument (exit 2 naming the capacity), not a silently smaller study.
+execute_process(COMMAND ${CTL} study --samples 1448 --no-probe
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "capacity of 1447 samples")
+  message(FATAL_ERROR "oversized --samples: want exit 2, got ${rc}: ${out}${err}")
+endif()
+
 # Store-backed study: shards commit as segments, --resume must skip all of
 # them and reproduce the identical artifact, and the query layer must keep
 # answering across a compaction.
