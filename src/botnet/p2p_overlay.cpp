@@ -45,8 +45,11 @@ Overlay build_overlay(sim::Network& net, const OverlayConfig& cfg) {
     for (int k = 0; k < 20; ++k) {
       id.push_back(static_cast<char>(rng.uniform(33, 126)));
     }
-    overlay.nodes.push_back(std::make_unique<P2pNode>(
-        net, addr, cfg.port, id, cfg.availability, rng.fork("n" + std::to_string(i))));
+    // Appended rather than "n" + ...: GCC 12 at -O3 reports a false
+    // -Wrestrict inside operator+(const char*, std::string&&).
+    overlay.nodes.push_back(
+        std::make_unique<P2pNode>(net, addr, cfg.port, id, cfg.availability,
+                                  rng.fork(std::string("n").append(std::to_string(i)))));
   }
 
   // Ring edges guarantee connectivity; random chords add realism.

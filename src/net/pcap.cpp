@@ -2,6 +2,8 @@
 
 #include <fstream>
 
+#include "util/fsio.hpp"
+
 namespace malnet::net {
 
 namespace {
@@ -62,10 +64,7 @@ std::vector<Packet> read_pcap(util::BytesView data) {
 }
 
 std::vector<Packet> load_pcap(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("load_pcap: cannot open " + path);
-  util::Bytes data((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
-  return read_pcap(data);
+  return read_pcap(util::read_file(path));
 }
 
 }  // namespace malnet::net

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 
 #include "profile/parse.hpp"
+#include "util/fsio.hpp"
 #include "util/rng.hpp"
 
 namespace malnet::profile {
@@ -25,10 +24,13 @@ const Registry& Registry::builtin() {
 }
 
 std::optional<std::string> Registry::load_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return path + ": cannot open";
-  const std::string text((std::istreambuf_iterator<char>(f)),
-                         std::istreambuf_iterator<char>());
+  util::Bytes bytes;
+  try {
+    bytes = util::read_file(path);
+  } catch (const std::runtime_error&) {
+    return path + ": cannot open";
+  }
+  const std::string text(bytes.begin(), bytes.end());
   ParseIssue issue;
   auto p = parse_profile(text, &issue);
   if (!p) return path + ": " + issue.render();

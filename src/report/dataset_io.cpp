@@ -1,7 +1,5 @@
 #include "report/dataset_io.hpp"
 
-#include <fstream>
-
 #include "util/fsio.hpp"
 
 namespace malnet::report {
@@ -295,11 +293,7 @@ void save_datasets(const core::StudyResults& results, const std::string& path) {
 }
 
 core::StudyResults load_datasets(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("load_datasets: cannot open " + path);
-  const util::Bytes data((std::istreambuf_iterator<char>(f)),
-                         std::istreambuf_iterator<char>());
-  auto parsed = parse_datasets(data);
+  auto parsed = parse_datasets(util::read_file(path));
   if (!parsed) throw std::runtime_error("load_datasets: corrupt artifact " + path);
   return std::move(*parsed);
 }

@@ -220,11 +220,6 @@ Host::ConnMap::iterator Host::emplace_conn(ConnMap::const_iterator hint,
                             key.second, inbound, iss));
 }
 
-TcpConn* Host::find_conn(const ConnKey& key) {
-  const auto it = conns_.find(key);
-  return it == conns_.end() ? nullptr : &it->second;
-}
-
 void Host::schedule_conn_erase(const ConnKey& key) {
   schedule_safe(Duration::seconds(60), [this, key]() {
     const auto it = conns_.find(key);
@@ -239,9 +234,11 @@ void Host::schedule_conn_erase(const ConnKey& key) {
 
 void Host::handle_tcp(const net::Packet& p) {
   const ConnKey key{p.dst_port, {p.src, p.src_port}};
-  TcpConn* conn = find_conn(key);
+  // One tree walk: the lower bound is the lookup and, for a passive open,
+  // the insert hint.
+  const auto it = conns_.lower_bound(key);
 
-  if (conn == nullptr) {
+  if (it == conns_.end() || conns_.key_comp()(key, it->first)) {
     if (p.flags.rst) return;  // RST to nothing: ignore
     if (p.flags.syn && !p.flags.ack) {
       const auto lit = tcp_listeners_.find(p.dst_port);
@@ -262,7 +259,7 @@ void Host::handle_tcp(const net::Packet& p) {
       // Passive open.
       const std::uint32_t iss = net_.rng()();
       TcpConn& nc =
-          emplace_conn(conns_.lower_bound(key), key, /*inbound=*/true, iss)->second;
+          emplace_conn(it, key, /*inbound=*/true, iss)->second;
       nc.rcv_next_ = p.seq + 1;
       nc.emit(net::TcpFlags{.syn = true, .ack = true, .fin = false, .rst = false,
                               .psh = false});
@@ -271,6 +268,7 @@ void Host::handle_tcp(const net::Packet& p) {
     return;  // stray non-SYN segment: ignore
   }
 
+  TcpConn* const conn = &it->second;
   const TcpConn::State before = conn->state();
   conn->handle(p);
   const TcpConn::State after = conn->state();

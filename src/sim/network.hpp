@@ -247,7 +247,6 @@ class Host {
   /// key sorts (see std::map::emplace_hint).
   ConnMap::iterator emplace_conn(ConnMap::const_iterator hint, const ConnKey& key,
                                  bool inbound, std::uint32_t iss);
-  TcpConn* find_conn(const ConnKey& key);
 
   Network& net_;
   net::Ipv4 addr_;

@@ -24,13 +24,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-util::Bytes read_whole_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("store: cannot open " + path);
-  return util::Bytes((std::istreambuf_iterator<char>(f)),
-                     std::istreambuf_iterator<char>());
-}
-
 std::string hex64(std::uint64_t v) {
   static constexpr char kHex[] = "0123456789abcdef";
   std::string out(16, '0');
@@ -324,7 +317,7 @@ std::optional<core::StudyResults> Store::load_verified_shard(
 }
 
 core::StudyResults Store::load_payload(const SegmentMeta& meta) {
-  const auto bytes = read_whole_file(segment_path(meta.file));
+  const auto bytes = util::read_file(segment_path(meta.file));
   registry_.counter("store.payload_bytes_read").inc(bytes.size());
   if (content_hash(util::BytesView{bytes}) != meta.hash) {
     throw std::runtime_error("store: content hash mismatch for " + meta.file);
@@ -396,7 +389,7 @@ std::optional<util::Bytes> Store::read_segment_bytes(const std::string& hash) {
     }
   }
   if (!meta) return std::nullopt;
-  auto bytes = read_whole_file(segment_path(meta->file));
+  auto bytes = util::read_file(segment_path(meta->file));
   if (content_hash(util::BytesView{bytes}) != meta->hash) {
     registry_.counter("store.verify_failures").inc();
     throw std::runtime_error("store: content hash mismatch for " + meta->file);

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
+
+#include "util/fsio.hpp"
 
 #ifndef MALNET_TESTKIT_CORPUS_DIR
 #define MALNET_TESTKIT_CORPUS_DIR ""
@@ -21,17 +22,6 @@ std::string corpus_dir() {
   return MALNET_TESTKIT_CORPUS_DIR;
 }
 
-namespace {
-
-util::Bytes read_file(const fs::path& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("testkit: cannot open " + path.string());
-  return util::Bytes((std::istreambuf_iterator<char>(f)),
-                     std::istreambuf_iterator<char>());
-}
-
-}  // namespace
-
 std::vector<CorpusEntry> load_corpus(const std::string& dir) {
   if (dir.empty() || !fs::is_directory(dir)) {
     throw std::runtime_error(
@@ -42,7 +32,7 @@ std::vector<CorpusEntry> load_corpus(const std::string& dir) {
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (!entry.is_regular_file()) continue;
     out.push_back(CorpusEntry{entry.path().filename().string(),
-                              read_file(entry.path())});
+                              util::read_file(entry.path())});
   }
   std::sort(out.begin(), out.end(),
             [](const CorpusEntry& a, const CorpusEntry& b) { return a.name < b.name; });
@@ -55,7 +45,7 @@ std::vector<CorpusEntry> load_corpus(const std::string& dir) {
 std::vector<CorpusEntry> load_default_corpus() { return load_corpus(corpus_dir()); }
 
 util::Bytes corpus_file(const std::string& name) {
-  return read_file(fs::path(corpus_dir()) / name);
+  return util::read_file(fs::path(corpus_dir()) / name);
 }
 
 std::vector<util::Bytes> corpus_inputs(const std::string& prefix) {

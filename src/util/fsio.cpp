@@ -5,6 +5,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 
 namespace malnet::util {
@@ -95,6 +97,12 @@ void write_file_atomic(const std::string& path, std::string_view text) {
   write_file_atomic(
       path, BytesView{reinterpret_cast<const std::uint8_t*>(text.data()),
                       text.size()});
+}
+
+Bytes read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) throw std::runtime_error("read_file: cannot open " + path);
+  return Bytes((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
 }
 
 }  // namespace malnet::util

@@ -5,7 +5,8 @@
 // therefore never observe a half-written file — after a crash the target is
 // either the complete old version or the complete new one, and the only
 // possible litter is a temp file that the writer's next run (or the store's
-// garbage collector) removes.
+// garbage collector) removes. read_file() is the matching read side: the
+// one way any layer loads a whole file into memory.
 #pragma once
 
 #include <string>
@@ -29,5 +30,9 @@ namespace malnet::util {
 /// failure; on failure the target is untouched and the temp is unlinked.
 void write_file_atomic(const std::string& path, BytesView data);
 void write_file_atomic(const std::string& path, std::string_view text);
+
+/// The whole contents of `path`. Throws std::runtime_error naming the path
+/// when it cannot be opened.
+[[nodiscard]] Bytes read_file(const std::string& path);
 
 }  // namespace malnet::util

@@ -61,7 +61,9 @@ TEST(Behavior, EncodeDecodeRoundTripCentralized) {
 TEST(Behavior, EncodeDecodeRoundTripDomainAndP2p) {
   BehaviorSpec dom;
   dom.family = proto::Family::kMirai;
-  dom.c2_domain.emplace("cnc.bot-net1.com");  // emplace dodges a GCC12 -Wmaybe-uninitialized FP
+  // Assigned as a std::string: emplace() and a bare literal both trip a GCC 12
+  // -Wmaybe-uninitialized false positive at -O2 or -O3.
+  dom.c2_domain = std::string("cnc.bot-net1.com");
   dom.c2_port = 443;
   auto decoded = decode_behavior(encode_behavior(dom));
   ASSERT_TRUE(decoded);

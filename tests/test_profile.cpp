@@ -19,6 +19,7 @@
 #include "core/ddos.hpp"
 #include "core/parallel_study.hpp"
 #include "emu/sandbox.hpp"
+#include "fault/fault.hpp"
 #include "mal/binary.hpp"
 #include "profile/parse.hpp"
 #include "profile/registry.hpp"
@@ -460,23 +461,28 @@ TEST(ProfileWorld, UnknownOrInvalidVariantConfigThrows) {
 
 TEST(ProfileGolden, LoadedBuiltinsReproduceStudyByteForByte) {
   const auto dir = builtin_dump_dir("golden_dump");
-  for (const int shards : {1, 2}) {
-    core::ParallelStudyConfig base;
-    base.base.seed = 22;
-    base.base.world.total_samples = 40;
-    base.base.run_probe_campaign = false;
-    base.shards = shards;
-    base.jobs = shards;
-    const auto baseline =
-        report::serialize_datasets(core::ParallelStudy(base).run());
+  for (const auto chaos : {faultsim::Profile::kNone, faultsim::Profile::kHostile}) {
+    for (const int shards : {1, 2}) {
+      core::ParallelStudyConfig base;
+      base.base.seed = 22;
+      base.base.world.total_samples = 40;
+      base.base.run_probe_campaign = false;
+      base.base.chaos = chaos;
+      base.base.chaos_seed = 7;
+      base.shards = shards;
+      base.jobs = shards;
+      const auto baseline =
+          report::serialize_datasets(core::ParallelStudy(base).run());
 
-    auto reg = std::make_shared<Registry>();
-    ASSERT_FALSE(reg->load_dir(dir).has_value());
-    auto loaded = base;
-    loaded.base.profiles = reg;
-    const auto with_profiles =
-        report::serialize_datasets(core::ParallelStudy(loaded).run());
-    EXPECT_EQ(with_profiles, baseline) << "shards=" << shards;
+      auto reg = std::make_shared<Registry>();
+      ASSERT_FALSE(reg->load_dir(dir).has_value());
+      auto loaded = base;
+      loaded.base.profiles = reg;
+      const auto with_profiles =
+          report::serialize_datasets(core::ParallelStudy(loaded).run());
+      EXPECT_EQ(with_profiles, baseline)
+          << "chaos=" << faultsim::to_string(chaos) << " shards=" << shards;
+    }
   }
 }
 

@@ -26,6 +26,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -60,6 +61,7 @@
 #include "store/store.hpp"
 #include "sync/client.hpp"
 #include "sync/session.hpp"
+#include "util/fsio.hpp"
 #include "util/log.hpp"
 #include "util/socket.hpp"
 
@@ -145,13 +147,6 @@ using namespace malnet;
   std::exit(2);
 }
 
-util::Bytes read_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open " + path);
-  return util::Bytes((std::istreambuf_iterator<char>(f)),
-                     std::istreambuf_iterator<char>());
-}
-
 void write_file(const std::string& path, util::BytesView data) {
   std::ofstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("cannot write " + path);
@@ -175,23 +170,26 @@ struct Args {
 Args parse_args(int argc, char** argv, int first) {
   Args args;
   for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      std::string key = a.substr(2);
-      // --key=value form (e.g. --chaos=hostile) splits in place.
-      if (const auto eq = key.find('='); eq != std::string::npos) {
-        args.flags[key.substr(0, eq)] = key.substr(eq + 1);
-      } else if (key == "no-probe" || key == "claims" || key == "profile" ||
-                 key == "resume" || key == "strict" || key == "allow-sync") {
-        args.flags[key] = "1";
-      } else if (i + 1 < argc) {
-        args.flags[key] = argv[++i];
-      } else {
-        usage();
-      }
-    } else {
-      args.positional.push_back(a);
+    const std::string_view a = argv[i];
+    if (!a.starts_with("--")) {
+      args.positional.emplace_back(a);
+      continue;
     }
+    std::string_view key = a.substr(2);
+    std::string_view value;
+    // --key=value form (e.g. --chaos=hostile) splits in place.
+    if (const auto eq = key.find('='); eq != std::string_view::npos) {
+      value = key.substr(eq + 1);
+      key = key.substr(0, eq);
+    } else if (key == "no-probe" || key == "claims" || key == "profile" ||
+               key == "resume" || key == "strict" || key == "allow-sync") {
+      value = "1";
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      usage();
+    }
+    args.flags.insert_or_assign(std::string(key), std::string(value));
   }
   return args;
 }
@@ -241,7 +239,7 @@ int cmd_forge(const Args& args) {
 
 int cmd_inspect(const Args& args) {
   if (args.positional.empty()) usage();
-  const auto bytes = read_file(args.positional[0]);
+  const auto bytes = util::read_file(args.positional[0]);
   const auto parsed = mal::parse(bytes);
   if (!parsed) {
     std::cout << "not an MBF binary\n";
@@ -272,7 +270,7 @@ int cmd_inspect(const Args& args) {
 
 int cmd_analyze(const Args& args) {
   if (args.positional.empty()) usage();
-  const auto bytes = read_file(args.positional[0]);
+  const auto bytes = util::read_file(args.positional[0]);
 
   sim::EventScheduler sched;
   sim::Network net(sched);
@@ -860,7 +858,7 @@ int cmd_profile(const Args& args) {
       const auto& path = args.positional[i];
       util::Bytes bytes;
       try {
-        bytes = read_file(path);
+        bytes = util::read_file(path);
       } catch (const std::exception& e) {
         std::cerr << path << ": " << e.what() << '\n';
         ++bad;
@@ -914,7 +912,7 @@ int cmd_profile(const Args& args) {
 int cmd_json_check(const Args& args) {
   if (args.positional.empty()) usage();
   const auto& path = args.positional[0];
-  const auto bytes = read_file(path);
+  const auto bytes = util::read_file(path);
   const std::string text(bytes.begin(), bytes.end());
   const auto doc = obs::json::parse(text);
   if (!doc) {
