@@ -1,8 +1,12 @@
 // google-benchmark microbenchmarks for the substrate hot paths: the event
-// scheduler, packet wire serialization, protocol codecs and the RNG.
-// Links malnet_alloc_count, so heap allocations can be counted per item.
+// scheduler, packet wire serialization, protocol codecs, the sandbox's
+// contained flood path and the RNG. Links malnet_alloc_count, so heap
+// allocations can be counted per item.
 #include <benchmark/benchmark.h>
 
+#include "botnet/c2server.hpp"
+#include "emu/sandbox.hpp"
+#include "mal/binary.hpp"
 #include "net/packet.hpp"
 #include "profile/wire.hpp"
 #include "sim/network.hpp"
@@ -83,6 +87,56 @@ static void BM_DarkProbeSweep(benchmark::State& state) {
   benchmark::DoNotOptimize(timeouts);
 }
 BENCHMARK(BM_DarkProbeSweep);
+
+static void BM_SandboxLiveFlood(benchmark::State& state) {
+  // The 2 h DDoS watch's common case: a bot in a live-mode sandbox run
+  // floods a victim, and every packet is tapped into the capture and
+  // dropped by the containment policy. One iteration is one 100 ms burst,
+  // 20 packets at the sandbox's default 200 pps. The payload and the
+  // capture copy are a packet's only allocations.
+  constexpr int kPacketsPerBurst = 20;
+  sim::EventScheduler sched;
+  sim::Network net(sched);
+  emu::Sandbox sandbox(net);
+  botnet::C2ServerConfig cfg;
+  cfg.family = proto::Family::kMirai;
+  cfg.ip = net::Ipv4{60, 1, 1, 1};
+  cfg.port = 23;
+  cfg.accept_prob = 1.0;
+  proto::AttackCommand flood;
+  flood.type = proto::AttackType::kVse;
+  flood.target = {net::Ipv4{7, 7, 7, 7}, 27015};
+  flood.duration_s = 3600;
+  cfg.attack_plan = {flood};
+  botnet::C2Server server(net, cfg, util::Rng(10));
+
+  mal::MbfBinary bin;
+  bin.behavior.family = proto::Family::kMirai;
+  bin.behavior.c2_ip = cfg.ip;
+  bin.behavior.c2_port = cfg.port;
+  bin.behavior.bot_id = "bench";
+  util::Rng rng(11);
+  emu::SandboxOptions opts;
+  opts.mode = emu::SandboxMode::kLive;
+  opts.duration = sim::Duration::hours(2);
+  opts.allowed_c2 = net::Endpoint{cfg.ip, cfg.port};
+  opts.attack_cap = sim::Duration::hours(1);
+  sandbox.start(mal::forge(bin, rng), opts, [](const emu::SandboxReport&) {});
+  while (server.commands_issued() == 0) sched.run_until(sched.now() + sim::Duration::seconds(1));
+  sched.run_until(sched.now() + sim::Duration::seconds(2));  // flood under way
+
+  const auto allocations = testkit::allocations();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sched.run_until(sched.now() + sim::Duration::millis(100)));
+  }
+  const auto packets = state.iterations() * kPacketsPerBurst;
+  state.counters["allocs_per_packet"] =
+      static_cast<double>(testkit::allocations() - allocations) /
+      static_cast<double>(packets);
+  state.SetItemsProcessed(packets);
+}
+// Fixed, so the capture stays below its cap and every packet is recorded.
+BENCHMARK(BM_SandboxLiveFlood)->Iterations(2000);
 
 static void BM_PacketWireRoundTrip(benchmark::State& state) {
   net::Packet p;

@@ -1,12 +1,10 @@
 #include "core/ddos.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "emu/attackgen.hpp"
 #include "profile/wire.hpp"
-#include "util/str.hpp"
 
 namespace malnet::core {
 
@@ -19,7 +17,7 @@ namespace {
 
 struct C2Message {
   util::SimTime time;
-  util::Bytes payload;
+  util::BytesView payload;  // into the report's capture
 };
 
 /// Per-victim outbound traffic aggregate.
@@ -29,7 +27,7 @@ struct TargetTraffic {
   util::SimTime first{INT64_MAX};
   net::Protocol proto = net::Protocol::kUdp;
   net::Port port = 0;
-  util::Bytes sample_payload;
+  util::BytesView sample_payload;  // into the report's capture
   bool tcp_syn_only = true;
   std::uint8_t icmp_type = 0, icmp_code = 0;
 };
@@ -97,8 +95,12 @@ void decode_profiles(const C2Message& msg, const Decoders& decoders,
     view = view.subspan(2 + len);
   }
   if (decoders.text.empty()) return;
-  const std::string text = util::to_string(msg.payload);
-  for (const auto& line : util::split(text, '\n')) {
+  std::string_view text{reinterpret_cast<const char*>(msg.payload.data()),
+                        msg.payload.size()};
+  while (!text.empty()) {
+    const auto nl = text.find('\n');
+    const std::string_view line = text.substr(0, nl);
+    text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
     if (line.empty()) continue;
     for (const auto* p : decoders.text) {
       if (auto cmd = profile::wire::decode_text_attack(*p, line)) {
@@ -118,38 +120,59 @@ std::vector<DdosDetection> detect_ddos(const emu::SandboxReport& report,
                                        const DdosDetectOptions& opts) {
   // --- pass 1: split the capture into C2 messages and outbound traffic ----
   std::vector<C2Message> c2_messages;
-  std::map<net::Ipv4, TargetTraffic> targets;
-  std::map<net::Ipv4, std::map<std::int64_t, std::uint64_t>> per_second;
-
-  for (const auto& p : report.capture) {
+  // Outbound, non-C2-bound traffic (floods are dropped at the perimeter but
+  // the tap recorded the attempt), as (target, capture index) pairs.
+  std::vector<std::pair<net::Ipv4, std::size_t>> sent;
+  for (std::size_t i = 0; i < report.capture.size(); ++i) {
+    const auto& p = report.capture[i];
     const bool from_c2 = p.src == c2.ip && p.src_port == c2.port;
     if (from_c2 && !p.payload.empty()) {
       c2_messages.push_back({p.time, p.payload});
       continue;
     }
-    // Outbound, non-C2-bound traffic (floods are dropped at the perimeter
-    // but the tap recorded the attempt).
     if (p.dst == c2.ip || p.src == c2.ip) continue;
     if (p.proto == net::Protocol::kUdp && p.dst_port == 53) continue;  // DNS
-    auto& t = targets[p.dst];
-    ++t.packets;
-    t.first = std::min(t.first, p.time);
-    t.proto = p.proto;
-    t.port = p.dst_port;
-    if (p.proto == net::Protocol::kTcp && !p.payload.empty()) t.tcp_syn_only = false;
-    if (p.proto == net::Protocol::kIcmp) {
-      t.icmp_type = p.icmp.type;
-      t.icmp_code = p.icmp.code;
-    }
-    if (t.sample_payload.empty() && !p.payload.empty()) t.sample_payload = p.payload;
-    ++per_second[p.dst][p.time.us / 1'000'000];
+    sent.emplace_back(p.dst, i);
   }
-  for (auto& [ip, seconds] : per_second) {
-    for (const auto& [sec, count] : seconds) {
-      targets[ip].peak_pps =
-          std::max(targets[ip].peak_pps, static_cast<double>(count));
+
+  // Aggregate each target's packets in capture order, targets in address
+  // order.
+  std::sort(sent.begin(), sent.end());
+  std::vector<std::pair<net::Ipv4, TargetTraffic>> targets;
+  std::vector<std::int64_t> seconds;
+  for (std::size_t i = 0; i < sent.size();) {
+    const net::Ipv4 ip = sent[i].first;
+    TargetTraffic t;
+    seconds.clear();
+    for (; i < sent.size() && sent[i].first == ip; ++i) {
+      const auto& p = report.capture[sent[i].second];
+      ++t.packets;
+      t.first = std::min(t.first, p.time);
+      t.proto = p.proto;
+      t.port = p.dst_port;
+      if (p.proto == net::Protocol::kTcp && !p.payload.empty()) t.tcp_syn_only = false;
+      if (p.proto == net::Protocol::kIcmp) {
+        t.icmp_type = p.icmp.type;
+        t.icmp_code = p.icmp.code;
+      }
+      if (t.sample_payload.empty() && !p.payload.empty()) t.sample_payload = p.payload;
+      seconds.push_back(p.time.us / 1'000'000);
     }
+    // Peak rate: the most packets sent within one wall-clock second.
+    std::sort(seconds.begin(), seconds.end());
+    for (auto lo = seconds.begin(); lo != seconds.end();) {
+      const auto hi = std::upper_bound(lo, seconds.end(), *lo);
+      t.peak_pps = std::max(t.peak_pps, static_cast<double>(hi - lo));
+      lo = hi;
+    }
+    targets.emplace_back(ip, t);
   }
+  const auto target = [&targets](net::Ipv4 ip) -> const TargetTraffic* {
+    const auto it = std::lower_bound(
+        targets.begin(), targets.end(), ip,
+        [](const auto& entry, net::Ipv4 key) { return entry.first < key; });
+    return it != targets.end() && it->first == ip ? &it->second : nullptr;
+  };
 
   // --- method (a): protocol profiles ---------------------------------------
   const Decoders decoders = decoders_of(profiles, family_hint);
@@ -162,11 +185,11 @@ std::vector<DdosDetection> detect_ddos(const emu::SandboxReport& report,
     DdosDetection det;
     det.method = DdosMethod::kProtocolProfile;
     det.command = cmd;
-    const auto it = targets.find(cmd.target.ip);
-    if (it != targets.end() &&
-        it->second.packets >= static_cast<std::uint64_t>(opts.min_attack_packets)) {
+    const TargetTraffic* t = target(cmd.target.ip);
+    if (t != nullptr &&
+        t->packets >= static_cast<std::uint64_t>(opts.min_attack_packets)) {
       det.verified = true;  // the bot demonstrably flooded the target
-      det.observed_pps = it->second.peak_pps;
+      det.observed_pps = t->peak_pps;
       explained.insert(cmd.target.ip);
     }
     out.push_back(std::move(det));
@@ -186,7 +209,7 @@ std::vector<DdosDetection> detect_ddos(const emu::SandboxReport& report,
 
     DdosDetection det;
     det.method = DdosMethod::kBehaviouralHeuristic;
-    det.command.raw = last->payload;
+    det.command.raw.assign(last->payload.begin(), last->payload.end());
     det.command.type = classify_traffic(traffic);
     det.command.target = {ip, traffic.port};
     det.command.family = family_hint.value_or(proto::Family::kMirai);

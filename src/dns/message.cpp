@@ -8,16 +8,25 @@ namespace malnet::dns {
 
 namespace {
 
+/// Wire size of an encoded name: a length byte per label stands in for
+/// each dot, plus the leading length byte and the root terminator.
+std::size_t encoded_name_size(const std::string& name) { return name.size() + 2; }
+
 void encode_name(util::ByteWriter& w, const std::string& name) {
   if (name.empty() || name.size() > 253) {
     throw std::invalid_argument("dns: bad name length");
   }
-  for (const auto& label : util::split(name, '.')) {
+  std::string_view rest = name;
+  while (true) {
+    const auto dot = rest.find('.');
+    const std::string_view label = rest.substr(0, dot);
     if (label.empty() || label.size() > 63) {
       throw std::invalid_argument("dns: bad label in " + name);
     }
     w.u8(static_cast<std::uint8_t>(label.size()));
     w.raw(label);
+    if (dot == std::string_view::npos) break;
+    rest.remove_prefix(dot + 1);
   }
   w.u8(0);
 }
@@ -38,7 +47,11 @@ std::optional<std::string> decode_name(util::ByteReader& r) {
 }  // namespace
 
 util::Bytes encode(const Message& m) {
+  std::size_t size = 12;  // header
+  for (const auto& q : m.questions) size += encoded_name_size(q.name) + 4;
+  for (const auto& a : m.answers) size += encoded_name_size(a.name) + 14;
   util::ByteWriter w;
+  w.reserve(size);
   w.u16(m.id);
   std::uint16_t flags = 0;
   if (m.is_response) flags |= 0x8000;

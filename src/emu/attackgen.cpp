@@ -27,9 +27,45 @@ struct AttackState {
   util::Rng rng;
   sim::SimTime end;
   net::Port fixed_src_port = 0;
-  util::Bytes std_payload;  // STD: one random string, generated once (§5.1)
+  /// The bytes every packet carries, built once per attack. For TLS only
+  /// the 5-byte record header is fixed; the junk after it is redrawn into
+  /// this buffer for each packet.
+  util::Bytes payload;
   std::function<void()> done;
 };
+
+constexpr std::size_t kTlsJunk = 48;
+
+/// The constant per-packet payload of an attack of `type` (§5.1). STD
+/// draws its one random string from `rng`.
+util::Bytes attack_payload(proto::AttackType type, util::Rng& rng) {
+  switch (type) {
+    case proto::AttackType::kUdpFlood:
+      return util::Bytes{0x00};  // the null byte, all three families
+    case proto::AttackType::kSynFlood:
+      return {};
+    case proto::AttackType::kTls: {
+      util::Bytes hello{0x16, 0x03, 0x03, 0x00, 0x30};
+      hello.resize(hello.size() + kTlsJunk);
+      return hello;
+    }
+    case proto::AttackType::kStomp:
+      return util::to_bytes("CONNECT\naccept-version:1.2\n\n\x00junk");
+    case proto::AttackType::kVse:
+      return vse_payload();
+    case proto::AttackType::kStd: {
+      // One random string generated once, reused for the whole attack.
+      util::Bytes s(32);
+      for (auto& b : s) b = static_cast<std::uint8_t>(rng.uniform('A', 'Z'));
+      return s;
+    }
+    case proto::AttackType::kBlacknurse:
+      return util::Bytes(28, 0x00);
+    case proto::AttackType::kNfo:
+      return nfo_payload();
+  }
+  return {};
+}
 
 void emit_burst(sim::Host& bot, const std::shared_ptr<AttackState>& st);
 
@@ -51,11 +87,12 @@ void emit_burst(sim::Host& bot, const std::shared_ptr<AttackState>& st) {
                                    ? static_cast<net::Port>(st->rng.uniform(1024, 65535))
                                    : st->fixed_src_port;
     switch (st->cmd.type) {
-      case proto::AttackType::kUdpFlood: {
-        // Payload is the null byte (§5.1, all three families).
-        bot.udp_send(target, util::Bytes{0x00}, src_port);
+      case proto::AttackType::kUdpFlood:
+      case proto::AttackType::kVse:
+      case proto::AttackType::kStd:
+      case proto::AttackType::kNfo:
+        bot.udp_send(target, st->payload, src_port);
         break;
-      }
       case proto::AttackType::kSynFlood: {
         net::Packet syn;
         syn.dst = target.ip;
@@ -71,9 +108,9 @@ void emit_burst(sim::Host& bot, const std::shared_ptr<AttackState>& st) {
         // Both observed variants ride datagrams of encoded junk (§5.1 —
         // daddyl33t sends DTLS-ish messages; the Mirai variant's chunked
         // stream is approximated at the packet level).
-        util::Bytes hello{0x16, 0x03, 0x03, 0x00, 0x30};
-        for (int b = 0; b < 48; ++b) {
-          hello.push_back(static_cast<std::uint8_t>(st->rng.uniform(0, 255)));
+        auto& hello = st->payload;
+        for (std::size_t b = hello.size() - kTlsJunk; b < hello.size(); ++b) {
+          hello[b] = static_cast<std::uint8_t>(st->rng.uniform(0, 255));
         }
         bot.udp_send(target, hello, src_port);
         break;
@@ -88,25 +125,13 @@ void emit_burst(sim::Host& bot, const std::shared_ptr<AttackState>& st) {
         frame.dst_port = target.port;
         frame.flags.psh = true;
         frame.flags.ack = true;
-        frame.payload = util::to_bytes("CONNECT\naccept-version:1.2\n\n\x00junk");
+        frame.payload = st->payload;
         bot.send_raw(std::move(frame));
-        break;
-      }
-      case proto::AttackType::kVse: {
-        bot.udp_send(target, vse_payload(), src_port);
-        break;
-      }
-      case proto::AttackType::kStd: {
-        bot.udp_send(target, st->std_payload, src_port);
         break;
       }
       case proto::AttackType::kBlacknurse: {
         // ICMP type 3 code 3 (destination/port unreachable) flood.
-        bot.icmp_send(target.ip, 3, 3, util::Bytes(28, 0x00));
-        break;
-      }
-      case proto::AttackType::kNfo: {
-        bot.udp_send(target, nfo_payload(), src_port);
+        bot.icmp_send(target.ip, 3, 3, st->payload);
         break;
       }
     }
@@ -124,14 +149,7 @@ void launch_attack(sim::Host& bot, const proto::AttackCommand& cmd,
   const auto commanded = sim::Duration::seconds(cmd.duration_s);
   st->end = bot.now() + std::min(commanded, opts.max_duration);
   st->fixed_src_port = static_cast<net::Port>(st->rng.uniform(1024, 65535));
-  if (cmd.type == proto::AttackType::kStd) {
-    // One random string generated once, reused for the whole attack.
-    std::string s;
-    for (int i = 0; i < 32; ++i) {
-      s.push_back(static_cast<char>(st->rng.uniform('A', 'Z')));
-    }
-    st->std_payload = util::to_bytes(s);
-  }
+  st->payload = attack_payload(cmd.type, st->rng);
   emit_burst(bot, st);
 }
 

@@ -121,18 +121,25 @@ void MalwareProcess::contact_c2(net::Endpoint ep, int attempts_left,
                                 std::size_t next_fallback) {
   ++c2_attempts_;
   contacted_ = ep;
+  c2_attempts_left_ = attempts_left;
+  c2_next_fallback_ = next_fallback;
+  // One contact is in flight at a time, so the handler reads its state from
+  // the process and captures only `this`, which fits ConnectHandler's inline
+  // storage.
   guest_.tcp_connect(
       ep,
-      [this, ep, attempts_left, next_fallback](sim::ConnectOutcome outcome,
-                                               sim::TcpConn* conn) {
+      [this](sim::ConnectOutcome outcome, sim::TcpConn* conn) {
         if (outcome == sim::ConnectOutcome::kConnected && conn != nullptr) {
           on_c2_connected(*conn);
           return;
         }
+        const net::Endpoint dialed = *contacted_;
+        const int attempts_left = c2_attempts_left_;
+        const std::size_t next_fallback = c2_next_fallback_;
         if (attempts_left > 0) {
           guest_.schedule_safe(opts_.c2_retry_delay,
-                               [this, ep, attempts_left, next_fallback]() {
-                                 contact_c2(ep, attempts_left - 1, next_fallback);
+                               [this, dialed, attempts_left, next_fallback]() {
+                                 contact_c2(dialed, attempts_left - 1, next_fallback);
                                });
         } else if (next_fallback < fallbacks_.size()) {
           contact_c2(fallbacks_[next_fallback], opts_.c2_retry_limit,
@@ -142,7 +149,7 @@ void MalwareProcess::contact_c2(net::Endpoint ep, int attempts_left,
           // keep trying for as long as they run. Bounded only by the
           // sandbox run duration (events die with the guest host).
           const net::Endpoint primary =
-              spec_.c2_ip ? net::Endpoint{*spec_.c2_ip, spec_.c2_port} : ep;
+              spec_.c2_ip ? net::Endpoint{*spec_.c2_ip, spec_.c2_port} : dialed;
           guest_.schedule_safe(opts_.c2_retry_delay, [this, primary]() {
             contact_c2(primary, opts_.c2_retry_limit, /*next_fallback=*/0);
           });

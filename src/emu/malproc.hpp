@@ -78,6 +78,10 @@ class MalwareProcess {
   bool started_ = false;
   bool aborted_ = false;
   int c2_attempts_ = 0;
+  // The contact in flight: retries left on contacted_, then the next
+  // fallback to try.
+  int c2_attempts_left_ = 0;
+  std::size_t c2_next_fallback_ = 0;
   sim::TcpConn* c2_conn_ = nullptr;
   std::optional<net::Endpoint> contacted_;
   std::string c2_text_buffer_;

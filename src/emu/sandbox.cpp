@@ -1,5 +1,6 @@
 #include "emu/sandbox.hpp"
 
+#include <memory_resource>
 #include <set>
 
 #include "dns/message.hpp"
@@ -54,7 +55,7 @@ class Sandbox::Run {
 
     if (opts_.mode == SandboxMode::kLive) {
       if (!opts_.allowed_c2) throw std::invalid_argument("live mode needs allowed_c2");
-      ids_ = std::make_unique<ids::Engine>(ids::containment_policy(*opts_.allowed_c2));
+      containment_ = ids::containment_policy(*opts_.allowed_c2);
     }
 
     guest_->set_tap([this](const net::Packet& p, bool outbound) { tap(p, outbound); });
@@ -169,16 +170,21 @@ class Sandbox::Run {
     return false;
   }
 
+  /// kLive perimeter: the containment policy's verdict, without alert
+  /// records (the run never reads them), so a dropped flood packet costs
+  /// no allocation here.
+  bool contain(const net::Packet& p) {
+    const ids::Rule* verdict = containment_.decide(p);
+    if (verdict != nullptr && verdict->action == ids::Action::kDrop) return drop(p);
+    return true;
+  }
+
   bool filter(net::Packet& p) {
     if (apply_existing_nat(p)) return true;
 
     // DNS: observe/weaponized modes answer from the wildcard fake.
     if (p.proto == net::Protocol::kUdp && p.dst_port == 53) {
-      if (opts_.mode == SandboxMode::kLive) {
-        const bool pass = ids_->inspect(p);
-        if (!pass) ++report_.packets_dropped;
-        return pass;
-      }
+      if (opts_.mode == SandboxMode::kLive) return contain(p);
       nat_to(p, {box_.fake_dns_->addr(), 53});
       return true;
     }
@@ -196,27 +202,28 @@ class Sandbox::Run {
         // per-endpoint attempts. Scan sweeps touch each victim once; a
         // *repeated* endpoint is C2-style beaconing and must stay dark —
         // impersonating it would hijack the C2 flow instead of an exploit.
+        // Once a port is redirected its destinations no longer matter.
         bool repeat_endpoint = false;
+        const bool redirected = redirected_ports_.contains(p.dst_port);
         if (p.flags.syn && !p.flags.ack) {
-          auto& seen = distinct_dsts_[p.dst_port];
-          seen.insert(p.dst);
-          if (seen.size() >= static_cast<std::size_t>(opts_.handshaker_threshold)) {
-            redirected_ports_.insert(p.dst_port);
+          if (!redirected) {
+            auto& seen = distinct_dsts_[p.dst_port];
+            seen.insert(p.dst);
+            if (seen.size() >= static_cast<std::size_t>(opts_.handshaker_threshold)) {
+              redirected_ports_.insert(p.dst_port);
+            }
           }
           repeat_endpoint = ++syn_counts_[p.destination()] >= 2;
         }
-        if (!repeat_endpoint && redirected_ports_.count(p.dst_port) > 0) {
+        if (!repeat_endpoint && redirected_ports_.contains(p.dst_port)) {
           victim_->ensure_port(p.dst_port);
           nat_to(p, {victim_->addr(), p.dst_port});
           return true;
         }
         return drop(p);  // dark: C2 candidates show up as unanswered SYNs
       }
-      case SandboxMode::kLive: {
-        const bool pass = ids_->inspect(p);
-        if (!pass) ++report_.packets_dropped;
-        return pass;
-      }
+      case SandboxMode::kLive:
+        return contain(p);
       case SandboxMode::kWeaponized: {
         if (p.proto != net::Protocol::kTcp || !opts_.mitm_target) return drop(p);
         const bool to_hint = opts_.c2_hint && p.dst == opts_.c2_hint->ip &&
@@ -251,22 +258,26 @@ class Sandbox::Run {
   }
 
   static constexpr std::size_t kCaptureCap = 200000;
+  static constexpr std::size_t kArenaChunk = 4096;
 
   Sandbox& box_;
   std::uint64_t id_;
   SandboxOptions opts_;
   RunCallback done_;
   SandboxReport report_;
-  std::unique_ptr<ids::Engine> ids_;
+  ids::RuleSet containment_;  // kLive only
   std::unique_ptr<Victim> victim_;
   std::unique_ptr<sim::Host> guest_;
   std::unique_ptr<MalwareProcess> proc_;
-  std::map<FlowKey4, net::Endpoint> nat_forward_;
-  std::map<FlowKey4, net::Endpoint> nat_reverse_;
-  std::map<net::Port, net::Endpoint> orig_dst_by_guest_port_;
-  std::map<net::Port, std::set<net::Ipv4>> distinct_dsts_;
-  std::map<net::Endpoint, int> syn_counts_;
-  std::set<net::Port> redirected_ports_;
+  // The NAT and handshaker tables only grow during a run, so their nodes
+  // come from one arena that is released in a piece when the run ends.
+  std::pmr::monotonic_buffer_resource arena_{kArenaChunk};
+  std::pmr::map<FlowKey4, net::Endpoint> nat_forward_{&arena_};
+  std::pmr::map<FlowKey4, net::Endpoint> nat_reverse_{&arena_};
+  std::pmr::map<net::Port, net::Endpoint> orig_dst_by_guest_port_{&arena_};
+  std::pmr::map<net::Port, std::pmr::set<net::Ipv4>> distinct_dsts_{&arena_};
+  std::pmr::map<net::Endpoint, int> syn_counts_{&arena_};
+  std::pmr::set<net::Port> redirected_ports_{&arena_};
   std::int64_t start_sim_us_ = 0;
   bool finalized_ = false;
 };

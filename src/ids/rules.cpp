@@ -224,4 +224,11 @@ RuleSet::Evaluation RuleSet::evaluate(const net::Packet& p) const {
   return ev;
 }
 
+const Rule* RuleSet::decide(const net::Packet& p) const {
+  for (const auto& r : rules_) {
+    if (r.action != Action::kAlert && r.matches(p)) return &r;
+  }
+  return nullptr;
+}
+
 }  // namespace malnet::ids

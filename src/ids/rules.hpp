@@ -87,6 +87,11 @@ class RuleSet {
   };
   [[nodiscard]] Evaluation evaluate(const net::Packet& p) const;
 
+  /// Verdict only: the first pass/drop rule matching `p`, or null when none
+  /// decides (the packet passes). Alert rules are skipped, so the call
+  /// allocates nothing; containment checks on the per-packet path use it.
+  [[nodiscard]] const Rule* decide(const net::Packet& p) const;
+
  private:
   std::vector<Rule> rules_;
 };

@@ -20,6 +20,9 @@ util::Bytes encode_handshake(const FamilyProfile& p, const std::string& bot_id) 
 
 std::optional<Handshake> decode_handshake(const FamilyProfile& p,
                                           util::BytesView wire) {
+  // Keepalives (2 bytes) reach here on every C2 session; turn them and any
+  // other frame without room for magic + id length away before reading.
+  if (wire.size() < 5) return std::nullopt;
   try {
     util::ByteReader r(wire);
     if (r.u32() != p.handshake_magic) return std::nullopt;

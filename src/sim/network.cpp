@@ -95,7 +95,7 @@ void Network::schedule_delivery(SimTime at, net::Packet p) {
     Host* h = host_at(dst_addr);
     if (h == nullptr) return;
     ++rx_count_;
-    h->deliver(pkt);
+    h->deliver(std::move(pkt));
   };
   static_assert(EventScheduler::stores_inline<decltype(deliver)>,
                 "packet delivery must not allocate a scheduler callback");

@@ -212,10 +212,10 @@ class Host {
   using ConnKey = std::pair<net::Port, net::Endpoint>;  // (local port, remote)
   using ConnMap = std::pmr::map<ConnKey, TcpConn>;
 
-  /// Free list of conns_ nodes: a freed node serves the next connect, so
-  /// steady-state connects do not allocate, and a host keeps at most its
-  /// peak number of nodes. Every block is one map node, so all share one
-  /// size and alignment.
+  /// Free list of one map's nodes (conns_ or tcp_listeners_): a freed node
+  /// serves the next insert, so steady-state connects and listen toggles do
+  /// not allocate, and a host keeps at most its peak number of nodes. Every
+  /// block is one node of that map, so all share one size and alignment.
   class NodeRecycler final : public std::pmr::memory_resource {
    public:
     NodeRecycler() = default;
@@ -251,7 +251,10 @@ class Host {
   Network& net_;
   net::Ipv4 addr_;
   std::string name_;
-  std::map<net::Port, AcceptHandler> tcp_listeners_;
+  // Declared before the map whose nodes it recycles, as conn_nodes_ below.
+  NodeRecycler listener_nodes_;
+  // A C2 server toggles its listener on every accept-probability reroll.
+  std::pmr::map<net::Port, AcceptHandler> tcp_listeners_{&listener_nodes_};
   // Declared before conns_, which returns its nodes here on destruction.
   NodeRecycler conn_nodes_;
   // Every connection, including half-open active opens, each stored inside

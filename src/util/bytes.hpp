@@ -30,6 +30,9 @@ class ByteWriter {
  public:
   ByteWriter() = default;
 
+  /// Sizes the buffer for `n` bytes up front, so writing them grows it once.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);

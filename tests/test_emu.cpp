@@ -10,6 +10,7 @@
 #include "emu/sandbox.hpp"
 #include "mal/binary.hpp"
 #include "net/pcap.hpp"
+#include "testkit/alloc_count.hpp"
 #include "testkit/tempdir.hpp"
 
 using namespace malnet;
@@ -226,6 +227,59 @@ TEST(Sandbox, LiveModeContainsEverythingButC2) {
     if (p.dst == net::Ipv4{7, 7, 7, 7}) ++flood_packets;
   }
   EXPECT_GT(flood_packets, 100u);
+}
+
+TEST(Sandbox, ContainedFloodPacketCostsOnlyItsPayloadAndCapture) {
+  // A flood packet in a live run needs two heap blocks: the payload the
+  // bot sends and the capture's copy of it. Attack generation and the
+  // containment check must add none.
+  Bench b;
+  botnet::C2ServerConfig cfg;
+  cfg.family = proto::Family::kMirai;
+  cfg.ip = net::Ipv4{60, 1, 1, 1};
+  cfg.port = 23;
+  cfg.accept_prob = 1.0;
+  proto::AttackCommand atk;
+  atk.type = proto::AttackType::kVse;
+  atk.target = {net::Ipv4{7, 7, 7, 7}, 27015};
+  atk.duration_s = 60;
+  cfg.attack_plan = {atk};
+  botnet::C2Server server(b.net, cfg, util::Rng(10));
+
+  util::Rng rng(11);
+  SandboxOptions opts;
+  opts.mode = SandboxMode::kLive;
+  opts.duration = sim::Duration::minutes(30);
+  opts.allowed_c2 = net::Endpoint{{60, 1, 1, 1}, 23};
+  opts.attack_cap = sim::Duration::seconds(30);
+  SandboxReport report;
+  b.sandbox.start(mal::forge(scanning_bot(std::nullopt), rng), opts,
+                  [&](const SandboxReport& r) { report = r; });
+  while (server.commands_issued() == 0 && b.sched.now().us < opts.duration.us) {
+    b.sched.run_until(b.sched.now() + sim::Duration::seconds(1));
+  }
+  ASSERT_EQ(server.commands_issued(), 1u);
+  // Let the command arrive and the flood reach its steady rate, then count
+  // the allocations of a window inside it.
+  b.sched.run_until(b.sched.now() + sim::Duration::seconds(2));
+  const sim::SimTime from = b.sched.now();
+  const std::uint64_t before = testkit::allocations();
+  b.sched.run_until(from + sim::Duration::seconds(5));
+  const std::uint64_t allocations = testkit::allocations() - before;
+  b.sched.run_until(b.sched.now() + opts.duration);
+  ASSERT_TRUE(report.parsed);
+
+  std::uint64_t packets = 0;
+  for (const auto& p : report.capture) {
+    if (p.dst == atk.target.ip && p.time > from &&
+        p.time <= from + sim::Duration::seconds(5)) {
+      ++packets;
+    }
+  }
+  ASSERT_GE(packets, 900u);  // 200 pps for 5 s
+  // Growing the capture vector may reallocate it a few times in the window.
+  constexpr std::uint64_t kCaptureGrowth = 4;
+  EXPECT_LE(allocations, 2 * packets + kCaptureGrowth) << packets << " packets";
 }
 
 TEST(Sandbox, CaptureExportsAsValidPcap) {

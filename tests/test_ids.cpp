@@ -2,6 +2,7 @@
 
 #include "ids/engine.hpp"
 #include "ids/rules.hpp"
+#include "testkit/alloc_count.hpp"
 
 using namespace malnet;
 using namespace malnet::ids;
@@ -120,6 +121,37 @@ TEST(IdsEvaluate, FirstMatchSemantics) {
   ASSERT_TRUE(set);
   EXPECT_FALSE(set->evaluate(make_pkt(net::Protocol::kTcp, "1.1.1.1", 1, "9.9.9.9", 23)).drop);
   EXPECT_TRUE(set->evaluate(make_pkt(net::Protocol::kTcp, "1.1.1.1", 1, "8.8.8.8", 23)).drop);
+}
+
+TEST(IdsEvaluate, DecideReturnsTheRuleThatDecides) {
+  const auto set = RuleSet::parse(
+      "alert udp any any -> any any (sid:1;)\n"
+      "pass udp any any -> any 53 (sid:2;)\n"
+      "drop udp any any -> any any (sid:3;)\n");
+  ASSERT_TRUE(set);
+  const auto dns = make_pkt(net::Protocol::kUdp, "1.1.1.1", 1, "9.9.9.9", 53);
+  const auto flood = make_pkt(net::Protocol::kUdp, "1.1.1.1", 1, "9.9.9.9", 80);
+  const auto tcp = make_pkt(net::Protocol::kTcp, "1.1.1.1", 1, "9.9.9.9", 80);
+  ASSERT_NE(set->decide(dns), nullptr);
+  EXPECT_EQ(set->decide(dns)->sid, 2u);  // the alert before it does not decide
+  ASSERT_NE(set->decide(flood), nullptr);
+  EXPECT_EQ(set->decide(flood)->sid, 3u);
+  EXPECT_EQ(set->decide(tcp), nullptr);  // no rule decides: pass
+  for (const auto& p : {dns, flood, tcp}) {
+    const Rule* r = set->decide(p);
+    EXPECT_EQ(r != nullptr && r->action == Action::kDrop, set->evaluate(p).drop);
+  }
+}
+
+TEST(IdsEvaluate, ContainmentVerdictOnADroppedPacketAllocatesNothing) {
+  const auto policy = containment_policy({net::Ipv4{5, 5, 5, 5}, 666});
+  const auto flood =
+      make_pkt(net::Protocol::kUdp, "10.0.0.1", 40000, "7.7.7.7", 27015, "TSource");
+  const std::uint64_t before = testkit::allocations();
+  const Rule* verdict = policy.decide(flood);
+  EXPECT_EQ(testkit::allocations(), before);
+  ASSERT_NE(verdict, nullptr);
+  EXPECT_EQ(verdict->action, Action::kDrop);
 }
 
 TEST(IdsEngine, CountsAlertsAndDrops) {

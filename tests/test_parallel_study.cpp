@@ -7,9 +7,12 @@
 
 #include "core/parallel_study.hpp"
 #include "core/pipeline.hpp"
+#include "fault/fault.hpp"
+#include "profile/registry.hpp"
 #include "report/dataset_io.hpp"
 #include "report/tables.hpp"
 #include "sim/network.hpp"
+#include "util/rng.hpp"
 
 using namespace malnet;
 using namespace malnet::core;
@@ -182,4 +185,63 @@ TEST(MergeStudyResults, C2CollisionsMergeDeterministically) {
   EXPECT_EQ(rec.distinct_samples, 3);
   EXPECT_TRUE(rec.vt_malicious_same_day);
   EXPECT_TRUE(rec.vt_malicious_requery);
+}
+
+// --- golden output -----------------------------------------------------------
+//
+// Speed-ups must not move a byte of study output. These digests pin the MDS
+// datasets and the merged metrics JSON of a few small configs; they were
+// recorded before the sandbox's allocation work and must only change with
+// an intended change to what a study measures.
+
+namespace {
+
+struct StudyDigest {
+  std::uint64_t datasets = 0;
+  std::uint64_t metrics = 0;
+};
+
+StudyDigest digest_of(const ParallelStudyConfig& cfg) {
+  const auto results = ParallelStudy(cfg).run();
+  const auto mds = report::serialize_datasets(results);
+  return {util::fnv1a64(std::string_view(reinterpret_cast<const char*>(mds.data()),
+                                         mds.size())),
+          util::fnv1a64(results.metrics.to_json())};
+}
+
+ParallelStudyConfig golden_config(int shards) {
+  ParallelStudyConfig cfg;
+  cfg.base = small_config(300);
+  cfg.shards = shards;
+  cfg.jobs = shards;
+  return cfg;
+}
+
+}  // namespace
+
+TEST(StudyGolden, OneShardWithCampaign) {
+  auto cfg = golden_config(1);
+  cfg.base.run_probe_campaign = true;
+  cfg.base.probe_rounds = 4;
+  const auto d = digest_of(cfg);
+  EXPECT_EQ(d.datasets, 0xb6db414a7f0998fcull);
+  EXPECT_EQ(d.metrics, 0xe0dc4cb199613a2aull);
+}
+
+TEST(StudyGolden, ThreeShardsHostileChaos) {
+  auto cfg = golden_config(3);
+  cfg.base.chaos = faultsim::Profile::kHostile;
+  const auto d = digest_of(cfg);
+  EXPECT_EQ(d.datasets, 0x7c930ca16ab0b6afull);
+  EXPECT_EQ(d.metrics, 0x10b6934e21394883ull);
+}
+
+TEST(StudyGolden, LoadedProfileDirectory) {
+  auto cfg = golden_config(2);
+  auto reg = std::make_shared<profile::Registry>();
+  ASSERT_FALSE(reg->load_dir(MALNET_PROFILES_DIR).has_value());
+  cfg.base.profiles = std::move(reg);
+  const auto d = digest_of(cfg);
+  EXPECT_EQ(d.datasets, 0x1b79c5fb8102141aull);
+  EXPECT_EQ(d.metrics, 0x1800cfc2c662f9f0ull);
 }

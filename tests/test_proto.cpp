@@ -116,6 +116,20 @@ TEST(Mirai, HandshakeRejectsJunk) {
   EXPECT_FALSE(wire::decode_handshake(kMirai, bytes));
 }
 
+TEST(Mirai, HandshakeIgnoresKeepaliveShortAndTruncatedFrames) {
+  // A C2 server tries every inbound frame as a handshake first, so these
+  // arrive on every session and must decode to nothing.
+  EXPECT_FALSE(wire::decode_handshake(kMirai, wire::encode_keepalive()));
+  EXPECT_FALSE(wire::decode_handshake(kMirai, util::BytesView{}));
+  EXPECT_FALSE(wire::decode_handshake(kMirai, util::from_hex("00")));
+  EXPECT_FALSE(wire::decode_handshake(kMirai, util::from_hex("00000001")));
+  EXPECT_FALSE(wire::decode_handshake(kMirai, util::from_hex("00000001 03 6162")));
+  // The shortest well-formed handshake (empty id) still decodes.
+  const auto empty_id = wire::decode_handshake(kMirai, util::from_hex("00000001 00"));
+  ASSERT_TRUE(empty_id);
+  EXPECT_EQ(empty_id->bot_id, "");
+}
+
 TEST(Mirai, Keepalive) {
   EXPECT_TRUE(wire::is_keepalive(wire::encode_keepalive()));
   EXPECT_FALSE(wire::is_keepalive(util::from_hex("0001")));
