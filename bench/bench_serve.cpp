@@ -24,11 +24,11 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common.hpp"
 #include "core/parallel_study.hpp"
 #include "obs/expo.hpp"
 #include "obs/json.hpp"
@@ -127,19 +127,10 @@ LevelResult run_level(std::uint16_t port, int clients, int total_queries,
 /// pass vacuously.
 bool check_baseline(const std::vector<LevelResult>& results,
                     const std::string& path, double tolerance) {
-  std::ifstream in(path);
-  if (!in) {
-    std::printf("BASELINE: cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto doc = obs::json::parse(ss.str());
-  if (!doc || !doc->find("levels") || !doc->find("levels")->is_array()) {
-    std::printf("BASELINE: %s is not a bench_serve metrics file\n",
-                path.c_str());
-    return false;
-  }
+  const auto doc = bench::load_baseline(path, "bench_serve", [](const obs::json::Value& v) {
+    return v.find("levels") != nullptr && v.find("levels")->is_array();
+  });
+  if (!doc) return false;
   bool ok = true;
   for (const auto& r : results) {
     for (const auto& level : doc->find("levels")->array) {

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "core/parallel_study.hpp"
 #include "obs/json.hpp"
 #include "serve/server.hpp"
@@ -37,6 +38,7 @@
 #include "sync/client.hpp"
 #include "sync/session.hpp"
 #include "sync/wire.hpp"
+#include "util/fsio.hpp"
 
 namespace {
 
@@ -61,10 +63,7 @@ std::uint64_t store_total_bytes(store::Store& st) {
 /// Full on-disk identity of a store: MANIFEST plus every segment file.
 std::string store_snapshot(const std::string& dir) {
   const auto slurp = [](const std::filesystem::path& path) {
-    std::ifstream f(path, std::ios::binary);
-    std::ostringstream s;
-    s << f.rdbuf();
-    return s.str();
+    return util::to_string(util::read_file(path.string()));
   };
   std::ostringstream out;
   out << "MANIFEST\n" << slurp(dir + "/MANIFEST");
@@ -80,19 +79,12 @@ std::string store_snapshot(const std::string& dir) {
 
 bool check_baseline(std::uint64_t wire_bytes_total, const std::string& path,
                     double tolerance) {
-  std::ifstream in(path);
-  if (!in) {
-    std::printf("BASELINE: cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto doc = obs::json::parse(ss.str());
-  const auto* total = doc ? doc->find("wire_bytes_total") : nullptr;
-  if (!total || !total->is_number()) {
-    std::printf("BASELINE: %s is not a bench_sync metrics file\n", path.c_str());
-    return false;
-  }
+  const auto doc = bench::load_baseline(path, "bench_sync", [](const obs::json::Value& v) {
+    const auto* total = v.find("wire_bytes_total");
+    return total != nullptr && total->is_number();
+  });
+  if (!doc) return false;
+  const auto* total = doc->find("wire_bytes_total");
   const double limit = total->number * tolerance;
   const bool pass = static_cast<double>(wire_bytes_total) <= limit;
   std::printf("baseline: wire bytes %llu vs limit %.0f (baseline %.0f x %.1f)"

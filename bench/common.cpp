@@ -2,6 +2,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+
+#include "util/bytes.hpp"
+#include "util/fsio.hpp"
 
 namespace malnet::bench {
 
@@ -35,11 +39,36 @@ const core::Pipeline& full_pipeline() {
   return pipeline_instance();
 }
 
-void banner(const char* experiment_id, const char* what) {
+void header(const char* experiment_id, const char* what) {
   std::printf("=== MalNet reproduction: %s — %s ===\n", experiment_id, what);
+}
+
+void seed_note() {
   std::printf("(deterministic full-study run, seed %llu; paper values shown "
               "for comparison)\n\n",
               static_cast<unsigned long long>(paper_config().seed));
+}
+
+void banner(const char* experiment_id, const char* what) {
+  header(experiment_id, what);
+  seed_note();
+}
+
+std::optional<obs::json::Value> load_baseline(
+    const std::string& path, const char* bench, bool (*valid)(const obs::json::Value&)) {
+  util::Bytes bytes;
+  try {
+    bytes = util::read_file(path);
+  } catch (const std::runtime_error&) {
+    std::printf("BASELINE: cannot open %s\n", path.c_str());
+    return std::nullopt;
+  }
+  auto doc = obs::json::parse(util::to_string(bytes));
+  if (!doc || !valid(*doc)) {
+    std::printf("BASELINE: %s is not a %s metrics file\n", path.c_str(), bench);
+    return std::nullopt;
+  }
+  return doc;
 }
 
 }  // namespace malnet::bench

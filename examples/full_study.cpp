@@ -6,8 +6,6 @@
 
 #include "core/pipeline.hpp"
 #include "report/export_series.hpp"
-#include "report/figures.hpp"
-#include "report/summary.hpp"
 #include "report/tables.hpp"
 #include "util/csv.hpp"
 #include "util/log.hpp"
@@ -82,26 +80,11 @@ int main(int argc, char** argv) {
   const auto results = pipeline.run();
   util::set_log_level(util::LogLevel::kOff);
 
-  const auto& asdb = pipeline.asdb();
-  std::cout << '\n'
-            << report::table1_datasets(results) << '\n'
-            << report::table2_top_ases(results, asdb) << '\n'
-            << report::table3_ti_miss(results) << '\n'
-            << report::table4_vulnerabilities(results) << '\n'
-            << report::table7_vendors(results, pipeline.ti(), cfg.requery_day) << '\n'
-            << report::figure1_heatmap(results, asdb) << '\n'
-            << report::figure2_lifetime_ip(results) << '\n'
-            << report::figure3_lifetime_domain(results) << '\n'
-            << report::figure4_probe_raster(results) << '\n'
-            << report::figure5_samples_per_c2(results) << '\n'
-            << report::figure6_samples_per_domain(results) << '\n'
-            << report::figure7_vendor_cdf(results) << '\n'
-            << report::figure8_vuln_timeseries(results) << '\n'
-            << report::figure9_loaders(results) << '\n'
-            << report::figure10_ddos_protocols(results, asdb) << '\n'
-            << report::figure11_ddos_types(results, asdb) << '\n'
-            << report::figure12_targets(results, asdb) << '\n'
-            << report::figure13_as_cdf(results) << '\n';
+  std::cout << '\n';
+  for (const auto& section :
+       report::paper_sections(results, pipeline.asdb(), pipeline.ti(), cfg.requery_day)) {
+    std::cout << section.text << '\n';
+  }
 
   export_csvs(results);
   const auto n = report::write_figure_series(results, pipeline.asdb(), ".");

@@ -14,12 +14,10 @@ P2pNode::P2pNode(sim::Network& net, net::Ipv4 addr, net::Port port,
   udp_bind(port_, [this](const net::Packet& p) {
     if (!rng_.chance(availability_)) return;  // churn: sometimes silent
     if (const auto ping = proto::p2p::decode_ping(p.payload)) {
-      ++answered_;
       udp_send({p.src, p.src_port}, proto::p2p::encode_pong({id_, ping->txn}), port_);
       return;
     }
     if (const auto query = proto::p2p::decode_get_peers(p.payload)) {
-      ++answered_;
       proto::p2p::PeersReply reply;
       reply.node_id = id_;
       reply.txn = query->txn;

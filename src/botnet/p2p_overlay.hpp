@@ -25,7 +25,6 @@ class P2pNode : public sim::Host {
   [[nodiscard]] const std::vector<net::Endpoint>& peers() const { return peers_; }
   [[nodiscard]] net::Endpoint endpoint() const { return {addr(), port_}; }
   [[nodiscard]] const std::string& node_id() const { return id_; }
-  [[nodiscard]] std::uint64_t queries_answered() const { return answered_; }
 
  private:
   net::Port port_;
@@ -33,7 +32,6 @@ class P2pNode : public sim::Host {
   double availability_;
   util::Rng rng_;
   std::vector<net::Endpoint> peers_;
-  std::uint64_t answered_ = 0;
 };
 
 struct OverlayConfig {

@@ -174,7 +174,6 @@ class World {
   /// Live server actor for an address (nullptr when dead). Address may be a
   /// dotted quad or a domain.
   [[nodiscard]] C2Server* live_c2(const std::string& address) const;
-  [[nodiscard]] std::size_t live_c2_count() const { return live_.size(); }
 
   /// Visits every live server in address order (deterministic; used by the
   /// fault layer to roll per-day crash decisions).

@@ -189,9 +189,6 @@ class Pipeline {
   [[nodiscard]] const botnet::World& world() const { return *world_; }
   [[nodiscard]] const intel::ThreatIntel& ti() const { return *intel_; }
   [[nodiscard]] const asdb::AsDatabase& asdb() const { return world_->asdb(); }
-  /// The pipeline's observability sink (registry + tracer). Live while the
-  /// pipeline is; run() snapshots it into StudyResults.
-  [[nodiscard]] obs::Observer& observer() { return obs_; }
 
  private:
   void analyse_sample(const botnet::PlannedSample& sample);

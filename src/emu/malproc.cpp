@@ -119,7 +119,6 @@ void MalwareProcess::run_main() {
 
 void MalwareProcess::contact_c2(net::Endpoint ep, int attempts_left,
                                 std::size_t next_fallback) {
-  ++c2_attempts_;
   contacted_ = ep;
   c2_attempts_left_ = attempts_left;
   c2_next_fallback_ = next_fallback;

@@ -45,12 +45,9 @@ class MalwareProcess {
 
   // --- observable state (used by tests; the pipeline reads captures) -------
   [[nodiscard]] bool aborted_evasion() const { return aborted_; }
-  [[nodiscard]] bool c2_established() const { return c2_conn_ != nullptr; }
-  [[nodiscard]] int c2_attempts() const { return c2_attempts_; }
   [[nodiscard]] const std::vector<proto::AttackCommand>& commands_received() const {
     return commands_;
   }
-  [[nodiscard]] std::optional<net::Endpoint> contacted_c2() const { return contacted_; }
 
  private:
   void check_internet_then_run();
@@ -77,7 +74,6 @@ class MalwareProcess {
 
   bool started_ = false;
   bool aborted_ = false;
-  int c2_attempts_ = 0;
   // The contact in flight: retries left on contacted_, then the next
   // fallback to try.
   int c2_attempts_left_ = 0;

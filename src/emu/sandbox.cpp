@@ -4,7 +4,7 @@
 #include <set>
 
 #include "dns/message.hpp"
-#include "ids/engine.hpp"
+#include "ids/rules.hpp"
 #include "util/log.hpp"
 
 namespace malnet::emu {

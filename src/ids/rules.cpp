@@ -231,4 +231,35 @@ const Rule* RuleSet::decide(const net::Packet& p) const {
   return nullptr;
 }
 
+RuleSet containment_policy(net::Endpoint c2) {
+  RuleSet set;
+  {
+    Rule pass_c2;
+    pass_c2.action = Action::kPass;
+    pass_c2.proto = net::Protocol::kTcp;
+    pass_c2.dst = AddrSpec{false, net::Subnet{c2.ip, 32}};
+    pass_c2.dport = PortSpec{false, c2.port, c2.port};
+    pass_c2.msg = "allow C2 channel";
+    pass_c2.sid = 1;
+    set.add(std::move(pass_c2));
+  }
+  {
+    Rule pass_dns;
+    pass_dns.action = Action::kPass;
+    pass_dns.proto = net::Protocol::kUdp;
+    pass_dns.dport = PortSpec{false, 53, 53};
+    pass_dns.msg = "allow DNS";
+    pass_dns.sid = 2;
+    set.add(std::move(pass_dns));
+  }
+  {
+    Rule drop_rest;
+    drop_rest.action = Action::kDrop;
+    drop_rest.msg = "contain non-C2 traffic";
+    drop_rest.sid = 100;
+    set.add(std::move(drop_rest));
+  }
+  return set;
+}
+
 }  // namespace malnet::ids

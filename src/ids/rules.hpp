@@ -96,6 +96,10 @@ class RuleSet {
   std::vector<Rule> rules_;
 };
 
+/// The default MalNet containment policy (see §2.6): allows C2-bound
+/// traffic to `c2` and DNS; drops everything else leaving the sandbox.
+[[nodiscard]] RuleSet containment_policy(net::Endpoint c2);
+
 /// Parses one rule line (without comments). Exposed for tests.
 [[nodiscard]] std::optional<Rule> parse_rule(std::string_view line,
                                              std::string* error = nullptr);

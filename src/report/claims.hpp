@@ -1,7 +1,7 @@
 // The paper's headline-claim scorecard: every scalar claim from the
 // abstract/§3–§5, checked against the measured study with an explicit
-// tolerance. This is the reproduction's self-test — bench_claims prints it,
-// and the test suite asserts it stays green.
+// tolerance. This is the reproduction's self-test — bench_paper prints it
+// after the tables and figures, and the test suite asserts it stays green.
 #pragma once
 
 #include <string>

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "botnet/probe_world.hpp"
+#include "report/figures.hpp"
 #include "report/render.hpp"
 #include "report/summary.hpp"
 #include "util/str.hpp"
@@ -148,6 +150,41 @@ std::string table7_vendors(const core::StudyResults& results,
      << t.render() << "Vendors flagging at least one C2: " << detecting
      << " of " << counts.size() << " (paper: 44 of 89)\n";
   return os.str();
+}
+
+std::vector<PaperSection> paper_sections(const core::StudyResults& results,
+                                         const asdb::AsDatabase& asdb,
+                                         const intel::ThreatIntel& ti,
+                                         std::int64_t requery_day) {
+  std::ostringstream probe;
+  probe << "Table 5: probed ports:";
+  for (const auto port : botnet::table5_ports()) probe << ' ' << port;
+  probe << "  (6 /24 subnets, 4-hour interval, 84 rounds)\n\n"
+        << figure4_probe_raster(results);
+
+  return {
+      {"Table 1", "dataset sizes", table1_datasets(results)},
+      {"Table 2", "top-10 C2-hosting ASes", table2_top_ases(results, asdb)},
+      {"Table 3", "threat-intelligence miss rates", table3_ti_miss(results)},
+      {"Table 4", "exploited vulnerabilities", table4_vulnerabilities(results)},
+      {"Table 7", "per-vendor C2 detection counts",
+       table7_vendors(results, ti, requery_day)},
+      {"Figure 1", "weekly C2 activity heatmap", figure1_heatmap(results, asdb)},
+      {"Figure 2", "CDF of C2 IP lifetimes", figure2_lifetime_ip(results)},
+      {"Figure 3", "CDF of C2 domain lifetimes", figure3_lifetime_domain(results)},
+      {"Figure 4 / Table 5", "C2 probe responsiveness (D-PC2)", probe.str()},
+      {"Figure 5", "CDF of binaries per C2 IP", figure5_samples_per_c2(results)},
+      {"Figure 6", "CDF of binaries per C2 domain", figure6_samples_per_domain(results)},
+      {"Figure 7", "CDF of vendors flagging a known C2", figure7_vendor_cdf(results)},
+      {"Figure 8", "per-vulnerability exploitation over time",
+       figure8_vuln_timeseries(results)},
+      {"Figure 9", "loader filename frequencies", figure9_loaders(results)},
+      {"Figure 10", "DDoS attacks by protocol", figure10_ddos_protocols(results, asdb)},
+      {"Figure 11", "DDoS attack types by family", figure11_ddos_types(results, asdb)},
+      {"Figure 12", "DDoS targets by country and AS type",
+       figure12_targets(results, asdb)},
+      {"Figure 13", "cumulative C2 share by AS rank", figure13_as_cdf(results)},
+  };
 }
 
 }  // namespace malnet::report

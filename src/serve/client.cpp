@@ -5,10 +5,8 @@
 
 namespace malnet::serve {
 
-bool Client::connect(const std::string& host, std::uint16_t port,
-                     ClientOptions opts) {
-  close();
-  opts_ = opts;
+util::Fd connect_with_backoff(const std::string& host, std::uint16_t port,
+                              const ClientOptions& opts) {
   int backoff = opts.backoff_ms;
   for (int attempt = 0; attempt <= opts.max_retries; ++attempt) {
     if (attempt > 0) {
@@ -16,13 +14,17 @@ bool Client::connect(const std::string& host, std::uint16_t port,
       backoff *= 2;
     }
     auto fd = util::tcp_connect(host, port, opts.connect_timeout_ms);
-    if (fd.valid()) {
-      fd_ = std::move(fd);
-      reader_ = FrameReader();
-      return true;
-    }
+    if (fd.valid()) return fd;
   }
-  return false;
+  return {};
+}
+
+bool Client::connect(const std::string& host, std::uint16_t port,
+                     ClientOptions opts) {
+  close();
+  opts_ = opts;
+  fd_ = connect_with_backoff(host, port, opts);
+  return fd_.valid();
 }
 
 void Client::close() {

@@ -34,6 +34,11 @@ struct ClientOptions {
   int backoff_ms = 100;
 };
 
+/// Opens a TCP connection with `opts`' per-attempt timeout, retries and
+/// doubling backoff. Invalid when every attempt failed.
+[[nodiscard]] util::Fd connect_with_backoff(const std::string& host, std::uint16_t port,
+                                            const ClientOptions& opts);
+
 class Client {
  public:
   Client() = default;

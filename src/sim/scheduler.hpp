@@ -111,7 +111,6 @@ class EventScheduler {
   /// Per-event wall-clock attribution (two steady_clock reads per event);
   /// off by default — per-tag *event counts* are always maintained.
   void set_wall_profiling(bool on) { wall_profiling_ = on; }
-  [[nodiscard]] bool wall_profiling() const { return wall_profiling_; }
   [[nodiscard]] std::uint64_t executed_by_tag(PhaseTag tag) const {
     return tag < kMaxPhaseTags ? executed_by_tag_[tag] : 0;
   }

@@ -20,8 +20,7 @@ TcpConn::TcpConn(Token, Host& host, net::Endpoint local, net::Endpoint remote,
       remote_(remote),
       inbound_(inbound),
       state_(inbound ? State::kSynRcvd : State::kSynSent),
-      snd_next_(iss),
-      opened_at_(host.now()) {}
+      snd_next_(iss) {}
 
 void TcpConn::emit(net::TcpFlags flags, util::BytesView payload) {
   net::Packet p;

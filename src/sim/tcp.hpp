@@ -78,7 +78,6 @@ class TcpConn {
   [[nodiscard]] net::Endpoint remote() const { return remote_; }
   /// True if this side accepted the connection (passive open).
   [[nodiscard]] bool inbound() const { return inbound_; }
-  [[nodiscard]] util::SimTime opened_at() const { return opened_at_; }
   /// Total application bytes received on this connection.
   [[nodiscard]] std::uint64_t bytes_received() const { return bytes_rx_; }
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_tx_; }
@@ -104,7 +103,6 @@ class TcpConn {
   bool fin_sent_ = false;
   std::uint64_t bytes_rx_ = 0;
   std::uint64_t bytes_tx_ = 0;
-  util::SimTime opened_at_;
   DataHandler on_data_;
   CloseHandler on_close_;
   /// Pending active open (SYN_SENT): the handler that has not fired yet

@@ -1,8 +1,6 @@
 #include "sync/client.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "store/segment.hpp"
 #include "util/log.hpp"
@@ -44,20 +42,8 @@ bool SyncClient::connect(const std::string& host, std::uint16_t port,
                          serve::ClientOptions opts) {
   close();
   opts_ = opts;
-  int backoff = opts.backoff_ms;
-  for (int attempt = 0; attempt <= opts.max_retries; ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-      backoff *= 2;
-    }
-    auto fd = util::tcp_connect(host, port, opts.connect_timeout_ms);
-    if (fd.valid()) {
-      fd_ = std::move(fd);
-      reader_ = serve::FrameReader(kMaxSyncFrameBody);
-      return true;
-    }
-  }
-  return false;
+  fd_ = serve::connect_with_backoff(host, port, opts);
+  return fd_.valid();
 }
 
 void SyncClient::close() {

@@ -21,10 +21,6 @@ struct Duration {
   static constexpr Duration hours(std::int64_t n) { return minutes(n * 60); }
   static constexpr Duration days(std::int64_t n) { return hours(n * 24); }
 
-  [[nodiscard]] constexpr double to_seconds() const { return static_cast<double>(us) / 1e6; }
-  [[nodiscard]] constexpr double to_hours() const { return to_seconds() / 3600.0; }
-  [[nodiscard]] constexpr double to_days() const { return to_hours() / 24.0; }
-
   constexpr auto operator<=>(const Duration&) const = default;
   constexpr Duration operator+(Duration o) const { return {us + o.us}; }
   constexpr Duration operator-(Duration o) const { return {us - o.us}; }

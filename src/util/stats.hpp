@@ -56,7 +56,6 @@ class Histogram {
   void add(std::int64_t key, std::uint64_t weight = 1);
   [[nodiscard]] std::uint64_t at(std::int64_t key) const;
   [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] const std::map<std::int64_t, std::uint64_t>& bins() const { return bins_; }
   /// Most frequent key (smallest wins ties); 0 on an empty histogram.
   [[nodiscard]] std::int64_t mode() const;
 

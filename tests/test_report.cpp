@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
-#include "report/figures.hpp"
 #include "report/render.hpp"
 #include "report/summary.hpp"
 #include "report/claims.hpp"
@@ -157,36 +156,30 @@ TEST(Emitters, AllTablesAndFiguresRenderNonEmpty) {
   const auto results = pipe.run();
   const auto& asdb = pipe.asdb();
 
-  const std::vector<std::pair<const char*, std::string>> blocks = {
-      {"Table 1", table1_datasets(results)},
-      {"Table 2", table2_top_ases(results, asdb)},
-      {"Table 3", table3_ti_miss(results)},
-      {"Table 4", table4_vulnerabilities(results)},
-      {"Table 7", table7_vendors(results, pipe.ti(), 404)},
-      {"Figure 1", figure1_heatmap(results, asdb)},
-      {"Figure 2", figure2_lifetime_ip(results)},
-      {"Figure 3", figure3_lifetime_domain(results)},
-      {"Figure 4", figure4_probe_raster(results)},
-      {"Figure 5", figure5_samples_per_c2(results)},
-      {"Figure 6", figure6_samples_per_domain(results)},
-      {"Figure 7", figure7_vendor_cdf(results)},
-      {"Figure 8", figure8_vuln_timeseries(results)},
-      {"Figure 9", figure9_loaders(results)},
-      {"Figure 10", figure10_ddos_protocols(results, asdb)},
-      {"Figure 11", figure11_ddos_types(results, asdb)},
-      {"Figure 12", figure12_targets(results, asdb)},
-      {"Figure 13", figure13_as_cdf(results)},
+  // The reference list: paper order, each label as the section names itself.
+  const std::vector<std::string> expected = {
+      "Table 1",  "Table 2",  "Table 3",  "Table 4",   "Table 7",   "Figure 1",
+      "Figure 2", "Figure 3", "Figure 4", "Figure 5",  "Figure 6",  "Figure 7",
+      "Figure 8", "Figure 9", "Figure 10", "Figure 11", "Figure 12", "Figure 13",
   };
-  for (const auto& [name, text] : blocks) {
-    EXPECT_GT(text.size(), 40u) << name << " rendered nearly empty";
-    EXPECT_NE(text.find(name), std::string::npos)
+  const auto sections = paper_sections(results, asdb, pipe.ti(), cfg.requery_day);
+  ASSERT_EQ(sections.size(), expected.size());
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    const auto& name = expected[i];
+    const auto& section = sections[i];
+    EXPECT_EQ(section.label.rfind(name, 0), 0u)
+        << "section " << i << " is " << section.label << ", expected " << name;
+    EXPECT_FALSE(section.title.empty()) << name;
+    EXPECT_GT(section.text.size(), 40u) << name << " rendered nearly empty";
+    EXPECT_NE(section.text.find(name), std::string::npos)
         << name << " must label itself:\n"
-        << text;
+        << section.text;
   }
   // Key paper markers present.
-  EXPECT_NE(blocks[0].second.find("D-Samples"), std::string::npos);
-  EXPECT_NE(blocks[2].second.find("DNS-based"), std::string::npos);
-  EXPECT_NE(blocks[3].second.find("CVE-2018-10561"), std::string::npos);
+  EXPECT_NE(sections[0].text.find("D-Samples"), std::string::npos);
+  EXPECT_NE(sections[2].text.find("DNS-based"), std::string::npos);
+  EXPECT_NE(sections[3].text.find("CVE-2018-10561"), std::string::npos);
+  EXPECT_NE(sections[8].text.find("Table 5: probed ports"), std::string::npos);
 }
 
 TEST(Emitters, FigureSeriesExportCoversEveryFigure) {
